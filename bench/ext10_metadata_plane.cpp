@@ -10,14 +10,13 @@
 // and HARD-GATES the result (nonzero exit on failure):
 //
 //   1. sharded BSFS metadata-ops/s scales >= 3x from 1 -> 16 shards;
-//   2. single-master configs (legacy-VM BSFS, HDFS) stay within 1.3x of
-//      their own 1-shard throughput when asked for 16 shards — the knob
-//      exists, the architecture can't use it;
-//   3. a sharded world and a legacy (centralized) world running the same
+//   2. HDFS's single master stays within 1.3x of its own 1-shard
+//      throughput when asked for 16 shards — the knob exists, the
+//      architecture can't use it;
+//   3. a sharded world and a 1-shard (centralized) world running the same
 //      concurrent-append storm produce IDENTICAL per-blob version chains —
 //      sharding moved each blob's serial point, it must not have changed
-//      per-blob ordering semantics (the BS_LEGACY_VM oracle, mirroring the
-//      PR-9 BS_LEGACY_SOLVER cross-check).
+//      per-blob ordering semantics.
 //
 // A final (informative) phase turns on lease-based client caching and
 // reports how far read-mostly storms collapse onto the client cache.
@@ -45,12 +44,11 @@ constexpr uint64_t kBlock = 256 * 1024;
 
 std::string file_path(uint32_t i) { return "/meta/f" + std::to_string(i); }
 
-WorldOptions storm_options(uint32_t shards, bool legacy) {
+WorldOptions storm_options(uint32_t shards) {
   WorldOptions opt;
   opt.page_size = kPage;
   opt.block_size = kBlock;
   opt.metadata_shards = shards;
-  opt.vm_legacy = legacy;
   return opt;
 }
 
@@ -129,10 +127,10 @@ struct StormStats {
   double busiest_vm_share = 0;  // busiest shard's fraction of VM requests
 };
 
-StormStats run_bsfs_storm(uint32_t shards, bool legacy, uint32_t clients,
-                          bool mutate, double lease_ttl_s,
-                          uint64_t* lease_hits, uint64_t* lease_misses) {
-  WorldOptions opt = storm_options(shards, legacy);
+StormStats run_bsfs_storm(uint32_t shards, uint32_t clients, bool mutate,
+                          double lease_ttl_s, uint64_t* lease_hits,
+                          uint64_t* lease_misses) {
+  WorldOptions opt = storm_options(shards);
   opt.lease_ttl_s = lease_ttl_s;
   BsfsWorld world(opt);
   std::vector<blob::BlobId> ids;
@@ -172,7 +170,7 @@ StormStats run_bsfs_storm(uint32_t shards, bool legacy, uint32_t clients,
 }
 
 double run_hdfs_storm(uint32_t shards, uint32_t clients) {
-  WorldOptions opt = storm_options(shards, false);
+  WorldOptions opt = storm_options(shards);
   HdfsWorld world(opt);
   for (uint32_t i = 0; i < kFiles; ++i) {
     world.sim.spawn(put_file(*world.fs, 0, file_path(i), kPage, 1000 + i));
@@ -190,7 +188,7 @@ double run_hdfs_storm(uint32_t shards, uint32_t clients) {
   return static_cast<double>(clients) * kOpsPerClient / makespan;
 }
 
-// --- the sharded-vs-legacy chain oracle ---
+// --- the sharded-vs-centralized chain oracle ---
 //
 // Same seed, same concurrent-append storm, one sharded world and one
 // centralized world. Per-blob append sizes are fixed, so each blob's chain
@@ -202,11 +200,11 @@ struct ChainSet {
   std::vector<blob::Version> published;
 };
 
-ChainSet run_oracle_world(bool legacy) {
+ChainSet run_oracle_world(uint32_t shards) {
   constexpr uint32_t kOracleBlobs = 32;
   constexpr uint32_t kOracleClients = 512;
   constexpr uint32_t kOracleOps = 8;
-  WorldOptions opt = storm_options(legacy ? 1 : 8, legacy);
+  WorldOptions opt = storm_options(shards);
   BsfsWorld world(opt);
 
   std::vector<blob::BlobId> ids;
@@ -293,7 +291,7 @@ int main(int argc, char** argv) {
   double sharded_1 = 0, sharded_16 = 0;
   for (uint32_t shards : {1u, 4u, 16u}) {
     const StormStats s =
-        run_bsfs_storm(shards, false, kClients, true, 0, nullptr, nullptr);
+        run_bsfs_storm(shards, kClients, true, 0, nullptr, nullptr);
     if (shards == 1) sharded_1 = s.ops_per_s;
     if (shards == 16) sharded_16 = s.ops_per_s;
     table.add_row({"bsfs-sharded", std::to_string(shards),
@@ -304,21 +302,7 @@ int main(int argc, char** argv) {
     report.metric(k + "/busiest_vm_share", s.busiest_vm_share);
   }
 
-  // Phase B: the legacy (centralized oracle) VM must flatline.
-  double legacy_1 = 0, legacy_16 = 0;
-  for (uint32_t shards : {1u, 16u}) {
-    const StormStats s =
-        run_bsfs_storm(shards, true, kClients, true, 0, nullptr, nullptr);
-    (shards == 1 ? legacy_1 : legacy_16) = s.ops_per_s;
-    table.add_row({"bsfs-legacy-vm", std::to_string(shards),
-                   Table::num(s.ops_per_s), std::to_string(s.vm_requests),
-                   Table::num(100.0 * s.busiest_vm_share, 1) + "%"});
-    report.metric("bsfs_legacy/shards=" + std::to_string(shards) +
-                      "/ops_per_s",
-                  s.ops_per_s);
-  }
-
-  // Phase C: HDFS — no sharding lever exists; the knob is a no-op.
+  // Phase B: HDFS — no sharding lever exists; the knob is a no-op.
   double hdfs_1 = 0, hdfs_16 = 0;
   for (uint32_t shards : {1u, 16u}) {
     const double ops = run_hdfs_storm(shards, kClients);
@@ -330,22 +314,13 @@ int main(int argc, char** argv) {
   report.table(table);
 
   const double scaling = sharded_16 / sharded_1;
-  const double legacy_ratio =
-      std::max(legacy_16 / legacy_1, legacy_1 / legacy_16);
   const double hdfs_ratio = std::max(hdfs_16 / hdfs_1, hdfs_1 / hdfs_16);
   report.metric("gate/sharded_scaling_16_over_1", scaling);
-  report.metric("gate/legacy_flatline_ratio", legacy_ratio);
   report.metric("gate/hdfs_flatline_ratio", hdfs_ratio);
   report.say("\nsharded 1->16 scaling: %.2fx (gate: >= 3x)\n", scaling);
-  report.say("legacy VM 16-vs-1 ratio: %.3f (gate: <= 1.3)\n", legacy_ratio);
   report.say("hdfs 16-vs-1 ratio: %.3f (gate: <= 1.3)\n", hdfs_ratio);
   if (scaling < 3.0) {
     std::fprintf(stderr, "GATE FAIL: sharded scaling %.2fx < 3x\n", scaling);
-    ++failures;
-  }
-  if (legacy_ratio > 1.3) {
-    std::fprintf(stderr, "GATE FAIL: legacy VM moved %.3fx with shards\n",
-                 legacy_ratio);
     ++failures;
   }
   if (hdfs_ratio > 1.3) {
@@ -354,26 +329,26 @@ int main(int argc, char** argv) {
     ++failures;
   }
 
-  // Phase D: sharded-vs-legacy per-blob chain oracle.
-  const ChainSet sharded_chains = run_oracle_world(false);
-  const ChainSet legacy_chains = run_oracle_world(true);
-  const bool oracle_ok = chains_equal(sharded_chains, legacy_chains);
+  // Phase C: sharded-vs-centralized per-blob chain oracle.
+  const ChainSet sharded_chains = run_oracle_world(8);
+  const ChainSet central_chains = run_oracle_world(1);
+  const bool oracle_ok = chains_equal(sharded_chains, central_chains);
   report.metric("gate/oracle_chains_match", oracle_ok ? 1 : 0);
-  report.say("oracle: per-blob version chains sharded==legacy: %s\n",
+  report.say("oracle: per-blob version chains sharded==centralized: %s\n",
              oracle_ok ? "yes" : "NO");
   if (!oracle_ok) {
-    std::fprintf(stderr, "GATE FAIL: sharded and legacy VM version chains "
-                         "diverged\n");
+    std::fprintf(stderr, "GATE FAIL: sharded and centralized VM version "
+                         "chains diverged\n");
     ++failures;
   }
 
-  // Phase E (informative): lease-based client caching on a read-mostly
+  // Phase D (informative): lease-based client caching on a read-mostly
   // storm — how much metadata traffic never leaves the client node.
   uint64_t hits = 0, misses = 0;
   const StormStats no_lease =
-      run_bsfs_storm(16, false, 2000, false, 0, nullptr, nullptr);
+      run_bsfs_storm(16, 2000, false, 0, nullptr, nullptr);
   const StormStats leased =
-      run_bsfs_storm(16, false, 2000, false, 300.0, &hits, &misses);
+      run_bsfs_storm(16, 2000, false, 300.0, &hits, &misses);
   const double hit_rate =
       hits + misses == 0
           ? 0
@@ -394,7 +369,7 @@ int main(int argc, char** argv) {
 
   if (failures == 0) {
     report.say("\nshape: the sharded control plane scales with shard count; "
-               "single-master configs cannot use the knob; per-blob "
+               "HDFS's single master cannot use the knob; per-blob "
                "semantics are oracle-identical\n");
   }
   return failures;

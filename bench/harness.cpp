@@ -183,7 +183,6 @@ BsfsWorld::BsfsWorld(const WorldOptions& opt)
     }
   }
   bcfg.version_manager_node = 0;
-  bcfg.vm_legacy = options.vm_legacy;
   // Shard the metadata plane over the first S storage nodes (node 0 stays
   // the dedicated master for the 1-shard baseline).
   std::vector<net::NodeId> md_shards;
@@ -201,7 +200,7 @@ BsfsWorld::BsfsWorld(const WorldOptions& opt)
   bcfg.dht.service_time_s = options.dht_service_time_s;
   blobs = std::make_unique<blob::BlobSeerCluster>(sim, net, std::move(bcfg));
   bsfs::NamespaceConfig nscfg;
-  if (!options.vm_legacy) nscfg.shard_nodes = md_shards;
+  nscfg.shard_nodes = md_shards;
   ns = std::make_unique<bsfs::NamespaceManager>(sim, net, nscfg);
   bsfs::BsfsConfig fcfg;
   fcfg.block_size = options.block_size;

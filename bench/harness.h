@@ -125,9 +125,6 @@ struct WorldOptions {
   // HdfsWorld ignores this — which is exactly the single-master contrast
   // ext10 measures.
   uint32_t metadata_shards = 1;
-  // Forces the centralized oracle VM + namespace even when metadata_shards
-  // asks for more (mirrors BS_LEGACY_VM=1).
-  bool vm_legacy = false;
   // Client metadata lease TTL in seconds (0 = leases off; see
   // bsfs::BsfsConfig::lease_ttl_s).
   double lease_ttl_s = 0;

@@ -1,6 +1,5 @@
 #include "blob/cluster.h"
 
-#include <cstdlib>
 #include <numeric>
 
 #include "sim/parallel.h"
@@ -21,10 +20,7 @@ BlobSeerCluster::BlobSeerCluster(sim::Simulator& sim, net::Network& net,
   }
 
   cfg_.version_mgr.node = cfg_.version_manager_node;
-  const char* env = std::getenv("BS_LEGACY_VM");
-  const bool vm_legacy = cfg_.vm_legacy || (env != nullptr && env[0] == '1');
-  cfg_.version_mgr.shard_nodes =
-      vm_legacy ? std::vector<net::NodeId>{} : cfg_.version_manager_nodes;
+  cfg_.version_mgr.shard_nodes = cfg_.version_manager_nodes;
   vm_ = std::make_unique<VersionManager>(sim_, net_, cfg_.version_mgr);
 
   cfg_.manager.node = cfg_.provider_manager_node;

@@ -23,7 +23,7 @@ std::string page_args(const PageKey& key, uint64_t bytes) {
 
 Provider::Provider(sim::Simulator& sim, net::Network& net, ProviderConfig cfg)
     : sim_(sim), net_(net), cfg_(cfg), ram_freed_(sim), dirty_added_(sim),
-      drained_(sim), sync_cv_(sim), gc_(kv::GroupCommitObs::resolve(sim)) {
+      drained_(sim), sync_cv_(sim), gc_(GroupCommitObs::resolve(sim)) {
   BS_CHECK(cfg_.durability.max_records > 0);
   obs::MetricsRegistry& m = sim_.metrics();
   tracer_ = &sim_.tracer();
@@ -339,8 +339,9 @@ void Provider::crash(bool wipe_storage) {
   // Power loss: every page still in the unsynced window dies with RAM —
   // exactly the window, no more, no less. (The batch in flight on the disk
   // is failed by the incarnation machinery and accounted by the flusher
-  // when its write resolves; pages whose batch already synced survive via
-  // journal replay unless the disk itself is wiped below.)
+  // when its write resolves; pages whose batch already synced stay in the
+  // store, which models the disk contents, unless the disk itself is wiped
+  // below.)
   std::vector<DirtyPage> dropped(dirty_.begin(), dirty_.end());
   dirty_.clear();
   drop_unsynced(dropped);

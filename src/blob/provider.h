@@ -28,8 +28,8 @@
 //               platter. A power loss destroys zero acked pages.
 //
 // Power loss discards exactly the unsynced window: pages whose batch
-// reached the disk survive a plain crash (the KV journal replays on
-// reboot); unsynced pages die with RAM, and the batch in flight dies via
+// reached the disk survive a plain crash (the KV store models the disk
+// contents); unsynced pages die with RAM, and the batch in flight dies via
 // the PR-4 incarnation machinery (net::Network::try_disk_write).
 //
 // Read path: RAM-resident pages (recently written or LRU-cached) are served
@@ -99,9 +99,9 @@ class Provider {
   //
   // A crash is fail-stop at the network level: every request fails until
   // recover(). Storage semantics: pages whose flush reached the disk
-  // survive a plain crash (the KV journal replays on reboot); pages still
-  // in the unsynced window are destroyed — exactly the window, no more, no
-  // less (bytes_lost_on_power_loss accounts them). wipe_storage
+  // survive a plain crash (the KV store models the disk contents); pages
+  // still in the unsynced window are destroyed — exactly the window, no
+  // more, no less (bytes_lost_on_power_loss accounts them). wipe_storage
   // additionally models a disk loss, after which only re-replication can
   // restore the data.
   void crash(bool wipe_storage = false);
@@ -207,7 +207,7 @@ class Provider {
   obs::Counter* m_cache_hits_;
   obs::Counter* m_cache_misses_;
   obs::Counter* m_replications_;
-  kv::GroupCommitObs gc_;
+  GroupCommitObs gc_;
 };
 
 }  // namespace bs::blob

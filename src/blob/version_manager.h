@@ -14,9 +14,9 @@
 // latest) lives on exactly one ring owner (consistent hashing over the blob
 // id, `dht::HashRing`), so distinct blobs scale across shards while the
 // per-blob ordering semantics are byte-identical to the centralized
-// manager. The 1-shard configuration IS the legacy centralized manager and
-// is kept selectable (`BlobSeerConfig::vm_legacy`, env `BS_LEGACY_VM=1`) as
-// a cross-check oracle, mirroring the PR-9 BS_LEGACY_SOLVER pattern.
+// manager. The 1-shard configuration (empty `shard_nodes`) IS the
+// centralized manager; tests and ext10 build it as the cross-check oracle
+// for the sharded one.
 #pragma once
 
 #include <cstdint>

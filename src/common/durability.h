@@ -1,7 +1,6 @@
-// Durability spectrum for the write path — shared by every site where
-// writes become durable: the KV journal (kv/journal.h, GroupCommitJournal),
-// the blob provider's page flusher (blob/provider.h), and the HDFS
-// DataNode's block path (hdfs/datanode.h).
+// Durability spectrum for the write path — shared by the two sites where
+// writes become durable: the blob provider's page flusher
+// (blob/provider.h) and the HDFS DataNode's block path (hdfs/datanode.h).
 //
 // The paper's write benchmarks (fig3, ext1) charge every write the full
 // per-op persistence cost; real deployments trade durability for
@@ -28,6 +27,16 @@
 #pragma once
 
 #include <cstdint>
+
+namespace bs::obs {
+class Counter;
+class Gauge;
+class Histogram;
+}  // namespace bs::obs
+
+namespace bs::sim {
+class Simulator;
+}  // namespace bs::sim
 
 namespace bs {
 
@@ -61,5 +70,18 @@ struct DurabilityPolicy {
 };
 
 const char* durability_level_name(DurabilityLevel level);
+
+// Obs handles for the group-commit durability plane, shared by both sites
+// (the provider flusher and the DataNode block syncer). Cluster-wide
+// aggregates; resolve once at construction per the obs cost rule.
+struct GroupCommitObs {
+  obs::Counter* batches;           // kv/group_commit_batches
+  obs::Counter* records;           // kv/group_commit_records
+  obs::Gauge* unsynced_bytes;      // kv/unsynced_bytes (acked or buffered, not yet on platter)
+  obs::Histogram* flush_latency;   // kv/flush_latency_s (record arrival → batch synced)
+  obs::Counter* bytes_lost;        // kv/bytes_lost_on_power_loss
+  obs::Counter* acked_bytes_lost;  // kv/acked_bytes_lost_on_power_loss
+  static GroupCommitObs resolve(sim::Simulator& sim);
+};
 
 }  // namespace bs

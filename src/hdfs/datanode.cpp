@@ -28,7 +28,7 @@ DataNode::DataNode(sim::Simulator& sim, net::Network& net, net::NodeId node,
                    uint64_t ram_bytes, DurabilityPolicy durability)
     : sim_(sim), net_(net), node_(node), ram_bytes_(ram_bytes),
       durability_(durability), sync_added_(sim), sync_cv_(sim), drained_(sim),
-      gc_(kv::GroupCommitObs::resolve(sim)) {
+      gc_(GroupCommitObs::resolve(sim)) {
   BS_CHECK(durability_.max_records > 0);
   obs::MetricsRegistry& m = sim_.metrics();
   tracer_ = &sim_.tracer();

@@ -159,7 +159,7 @@ class DataNode {
   obs::Counter* m_cache_hits_;
   obs::Counter* m_cache_misses_;
   obs::Counter* m_replications_;
-  kv::GroupCommitObs gc_;
+  GroupCommitObs gc_;
 };
 
 }  // namespace bs::hdfs

@@ -1,79 +1,12 @@
 #include "kv/kvstore.h"
 
-#include "common/assert.h"
-
 namespace bs::kv {
-namespace {
-
-void put_u32(Bytes& out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<uint8_t>(v >> (i * 8)));
-}
-
-uint32_t get_u32(const Bytes& in, size_t& at) {
-  BS_CHECK(at + 4 <= in.size());
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(in[at + i]) << (i * 8);
-  at += 4;
-  return v;
-}
-
-void put_str(Bytes& out, const std::string& s) {
-  put_u32(out, static_cast<uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-std::string get_str(const Bytes& in, size_t& at) {
-  const uint32_t n = get_u32(in, at);
-  BS_CHECK(at + n <= in.size());
-  std::string s(in.begin() + static_cast<ptrdiff_t>(at),
-                in.begin() + static_cast<ptrdiff_t>(at + n));
-  at += n;
-  return s;
-}
-
-void put_bytes(Bytes& out, const Bytes& b) {
-  put_u32(out, static_cast<uint32_t>(b.size()));
-  out.insert(out.end(), b.begin(), b.end());
-}
-
-Bytes get_bytes(const Bytes& in, size_t& at) {
-  const uint32_t n = get_u32(in, at);
-  BS_CHECK(at + n <= in.size());
-  Bytes b(in.begin() + static_cast<ptrdiff_t>(at),
-          in.begin() + static_cast<ptrdiff_t>(at + n));
-  at += n;
-  return b;
-}
-
-}  // namespace
-
-KvStore::KvStore(std::unique_ptr<Journal> journal)
-    : journal_(std::move(journal)) {
-  BS_CHECK(journal_ != nullptr);
-  replay();
-}
-
-KvStore::KvStore() : KvStore(std::make_unique<MemoryJournal>()) {}
 
 void KvStore::put(const std::string& key, Bytes value) {
-  journal_->append(encode_put(key, value));
   auto [it, inserted] = map_.try_emplace(key);
   if (!inserted) value_bytes_ -= it->second.size();
   value_bytes_ += value.size();
   it->second = std::move(value);
-}
-
-sim::Task<bool> KvStore::put_acked(const std::string& key, Bytes value) {
-  Bytes record = encode_put(key, value);
-  // Apply to the in-memory map first (the store's answer-to-reads), then
-  // wait out the journal's durability verdict — mirroring write-behind
-  // semantics: a reader sees the value immediately, the ack tells the
-  // writer when it would survive a power loss.
-  auto [it, inserted] = map_.try_emplace(key);
-  if (!inserted) value_bytes_ -= it->second.size();
-  value_bytes_ += value.size();
-  it->second = std::move(value);
-  co_return co_await journal_->append_acked(record);
 }
 
 std::optional<Bytes> KvStore::get(const std::string& key) const {
@@ -89,7 +22,6 @@ bool KvStore::contains(const std::string& key) const {
 bool KvStore::erase(const std::string& key) {
   auto it = map_.find(key);
   if (it == map_.end()) return false;
-  journal_->append(encode_erase(key));
   value_bytes_ -= it->second.size();
   map_.erase(it);
   return true;
@@ -112,76 +44,6 @@ void KvStore::scan_prefix(
     if (it->first.compare(0, prefix.size(), prefix) != 0) return;
     if (!fn(it->first, it->second)) return;
   }
-}
-
-void KvStore::checkpoint() {
-  const Bytes snapshot = encode_snapshot();
-  journal_->truncate();
-  journal_->append(snapshot);
-}
-
-Bytes KvStore::encode_put(const std::string& key, const Bytes& value) {
-  Bytes out{static_cast<uint8_t>(Op::kPut)};
-  put_str(out, key);
-  put_bytes(out, value);
-  return out;
-}
-
-Bytes KvStore::encode_erase(const std::string& key) {
-  Bytes out{static_cast<uint8_t>(Op::kErase)};
-  put_str(out, key);
-  return out;
-}
-
-Bytes KvStore::encode_snapshot() const {
-  Bytes out{static_cast<uint8_t>(Op::kSnapshot)};
-  put_u32(out, static_cast<uint32_t>(map_.size()));
-  for (const auto& [k, v] : map_) {
-    put_str(out, k);
-    put_bytes(out, v);
-  }
-  return out;
-}
-
-void KvStore::apply_record(const Bytes& record) {
-  BS_CHECK(!record.empty());
-  size_t at = 1;
-  switch (static_cast<Op>(record[0])) {
-    case Op::kPut: {
-      const std::string key = get_str(record, at);
-      Bytes value = get_bytes(record, at);
-      auto [it, inserted] = map_.try_emplace(key);
-      if (!inserted) value_bytes_ -= it->second.size();
-      value_bytes_ += value.size();
-      it->second = std::move(value);
-      break;
-    }
-    case Op::kErase: {
-      const std::string key = get_str(record, at);
-      auto it = map_.find(key);
-      if (it != map_.end()) {
-        value_bytes_ -= it->second.size();
-        map_.erase(it);
-      }
-      break;
-    }
-    case Op::kSnapshot: {
-      map_.clear();
-      value_bytes_ = 0;
-      const uint32_t n = get_u32(record, at);
-      for (uint32_t i = 0; i < n; ++i) {
-        const std::string key = get_str(record, at);
-        Bytes value = get_bytes(record, at);
-        value_bytes_ += value.size();
-        map_.emplace(key, std::move(value));
-      }
-      break;
-    }
-  }
-}
-
-void KvStore::replay() {
-  journal_->scan([this](const Bytes& record) { apply_record(record); });
 }
 
 }  // namespace bs::kv

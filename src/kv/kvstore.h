@@ -1,41 +1,29 @@
-// Ordered key-value store with write-ahead logging — the BerkeleyDB
-// stand-in behind BlobSeer page providers (and reusable anywhere a small
-// durable map is needed).
+// Ordered key-value store — the BerkeleyDB stand-in behind BlobSeer page
+// providers, HDFS DataNodes and DHT metadata providers.
 //
-// Semantics: every mutation is journaled before being applied; open()
-// replays the journal (tolerating a torn tail); checkpoint() folds the
-// current state into a snapshot record and truncates the log. Keys are
-// binary-safe strings ordered lexicographically; range scans serve the
-// provider's "list pages of blob X" queries.
+// The store stands for the disk contents, which survive a plain crash;
+// owners that buffer writes erase the unsynced ones on power loss
+// (blob/provider.h). The time persistence costs is charged elsewhere, by
+// the owning node's simulated Disk and the group-commit flushers
+// (common/durability.h), so the store itself is a sorted map plus
+// value-byte accounting. Keys are binary-safe strings ordered
+// lexicographically; range scans serve the provider's "list pages of
+// blob X" queries.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 
 #include "common/dataspec.h"
-#include "kv/journal.h"
 
 namespace bs::kv {
 
 class KvStore {
  public:
-  // Takes ownership of the journal; replays it immediately.
-  explicit KvStore(std::unique_ptr<Journal> journal);
-  // Convenience: purely in-memory store with a MemoryJournal.
-  KvStore();
-
   void put(const std::string& key, Bytes value);
-  // Like put, but resolves with the journal's durability verdict for the
-  // record (kv::Journal::append_acked): true once the mutation is as
-  // durable as the journal's policy promises, false if a power loss
-  // destroyed it first. Plain journals resolve true immediately.
-  sim::Task<bool> put_acked(const std::string& key, Bytes value);
-  // Forces the journal's buffered records to the platter (group commit).
-  sim::Task<bool> sync() { return journal_->sync(); }
   std::optional<Bytes> get(const std::string& key) const;
   bool contains(const std::string& key) const;
   bool erase(const std::string& key);
@@ -51,23 +39,7 @@ class KvStore {
   void scan_prefix(const std::string& prefix,
                    const std::function<bool(const std::string&, const Bytes&)>& fn) const;
 
-  // Folds state into one snapshot record and truncates the log. Bounds
-  // recovery time, exactly like a BDB checkpoint.
-  void checkpoint();
-
-  const Journal& journal() const { return *journal_; }
-  Journal& journal() { return *journal_; }
-
  private:
-  enum class Op : uint8_t { kPut = 1, kErase = 2, kSnapshot = 3 };
-
-  static Bytes encode_put(const std::string& key, const Bytes& value);
-  static Bytes encode_erase(const std::string& key);
-  Bytes encode_snapshot() const;
-  void apply_record(const Bytes& record);
-  void replay();
-
-  std::unique_ptr<Journal> journal_;
   std::map<std::string, Bytes> map_;
   uint64_t value_bytes_ = 0;
 };

@@ -208,8 +208,8 @@ TEST(Determinism, LegacySolverBackendIsBitReproducible) {
 // Sharded metadata plane (PR 10): distributing the version manager and
 // namespace across ring shards — leases on — must not cost a single bit of
 // reproducibility, and the sharded world must agree with the centralized
-// one on application output (the end-to-end face of the BS_LEGACY_VM
-// oracle; per-blob chain equality is pinned in vm_shard_test).
+// one on application output (the end-to-end face of the 1-shard oracle;
+// per-blob chain equality is pinned in vm_shard_test).
 TEST(Determinism, ShardedMetadataPlaneIsBitReproducible) {
   for (const char* backend : {"BSFS", "HDFS"}) {
     const RunResult a =

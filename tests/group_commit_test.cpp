@@ -1,24 +1,29 @@
-// GroupCommitJournal unit battery: the batch-trigger matrix (count fires
-// first, timer fires first, explicit sync()), the ack contract under power
-// loss (crash before the ack loses the whole batch, crash after the ack
-// loses nothing — including a crash that catches the batch on the platter
-// path), and WAL replay after a torn tail mid-batch.
+// Group-commit triggers and the ack contract under power loss, on the blob
+// provider's page flusher (the count-or-time site, blob/provider.h). One
+// table of policies: the count trigger fires before the timer, the timer
+// fires before the count, kImmediate syncs one page per batch, a crash
+// before the sync loses exactly the unsynced window (and only the acked
+// part that the policy allows), and a crash after the ack loses nothing.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "kv/journal.h"
-#include "kv/kvstore.h"
+#include "blob/provider.h"
+#include "common/durability.h"
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "sim/simulator.h"
 
-namespace bs::kv {
+namespace bs::blob {
 namespace {
 
+constexpr net::NodeId kClient = 0;
 constexpr net::NodeId kNode = 1;
-constexpr uint64_t kRecordLen = 1000;
+constexpr uint64_t kPage = 1000;
+constexpr double kNoCrash = -1;
 
 net::ClusterConfig tiny_net() {
   net::ClusterConfig cfg;
@@ -27,252 +32,140 @@ net::ClusterConfig tiny_net() {
   return cfg;
 }
 
-// A world with one journal-owning storage node.
-struct GcWorld {
-  sim::Simulator sim;
-  net::Network net;
-
-  GcWorld() : net(sim, tiny_net()) {}
-
-  std::unique_ptr<GroupCommitJournal> journal(DurabilityPolicy policy) {
-    return std::make_unique<GroupCommitJournal>(
-        sim, net, kNode, std::make_unique<MemoryJournal>(), policy);
-  }
-};
+PageKey page_key(uint64_t i) { return PageKey{1, i, 1}; }
 
 struct Ack {
   int result = 0;  // 0 = unresolved, 1 = acked, 2 = refused
   double at = -1;  // sim time the ack resolved
 };
 
-sim::Task<void> one_append(sim::Simulator* sim, GroupCommitJournal* j,
-                           uint64_t tag, Ack* ack) {
-  const bool ok = co_await j->append_acked(Bytes(kRecordLen, static_cast<uint8_t>(tag)));
-  ack->result = ok ? 1 : 2;
-  ack->at = sim->now();
-}
-
-sim::Task<void> crash_at(sim::Simulator* sim, GcWorld* w,
-                         GroupCommitJournal* j, double at) {
-  co_await sim->delay(at);
-  w->net.set_node_up(kNode, false);  // bumps the incarnation
-  j->power_loss();
-}
-
-TEST(GroupCommit, CountTriggerFiresBeforeTimer) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
-  std::vector<Ack> acks(4);
-  for (uint64_t i = 0; i < 4; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    // Acked when the 4th record closed the batch — long before the 10 s
-    // timer, paying one disk positioning overhead for all four.
-    EXPECT_LT(a.at, 1.0);
-  }
-  EXPECT_EQ(j->batches_synced(), 1u);
-  EXPECT_EQ(j->records_synced(), 4u);
-  EXPECT_EQ(j->inner().record_count(), 4u);
-  EXPECT_EQ(j->unsynced_records(), 0u);
-}
-
-TEST(GroupCommit, TimerTriggerFiresBeforeCount) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(100, /*max_delay_s=*/0.05));
-  std::vector<Ack> acks(3);
-  for (uint64_t i = 0; i < 3; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    // The batch never filled; the max_delay timer flushed it.
-    EXPECT_GE(a.at, 0.05);
-    EXPECT_LT(a.at, 0.1);
-  }
-  EXPECT_EQ(j->batches_synced(), 1u);
-  EXPECT_EQ(j->inner().record_count(), 3u);
-}
-
-sim::Task<void> sync_now(GroupCommitJournal* j, Ack* ack, sim::Simulator* sim) {
-  const bool ok = co_await j->sync();
-  ack->result = ok ? 1 : 2;
-  ack->at = sim->now();
-}
-
-TEST(GroupCommit, ExplicitSyncFlushesEarly) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(100, /*max_delay_s=*/10.0));
-  // Plain append() buffers without blocking; neither trigger is close.
-  for (uint64_t i = 0; i < 3; ++i) j->append(Bytes(kRecordLen, static_cast<uint8_t>(i)));
-  EXPECT_EQ(j->inner().record_count(), 0u);
-  EXPECT_EQ(j->unsynced_records(), 3u);
-  Ack ack;
-  w.sim.spawn(sync_now(j.get(), &ack, &w.sim));
-  w.sim.run();
-  EXPECT_EQ(ack.result, 1);
-  EXPECT_LT(ack.at, 1.0);  // did not wait out the 10 s timer
-  EXPECT_EQ(j->batches_synced(), 1u);
-  EXPECT_EQ(j->inner().record_count(), 3u);
-  EXPECT_EQ(j->unsynced_records(), 0u);
-}
-
-TEST(GroupCommit, ImmediateSyncsEveryRecordAlone) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::immediate());
-  std::vector<Ack> acks(3);
-  for (uint64_t i = 0; i < 3; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) EXPECT_EQ(a.result, 1);
-  EXPECT_EQ(j->batches_synced(), 3u);  // one batch per record
-  EXPECT_EQ(j->inner().record_count(), 3u);
-}
-
-TEST(GroupCommit, NoneAcksInstantlyAndSyncsLazily) {
-  GcWorld w;
-  DurabilityPolicy policy = DurabilityPolicy::none();
-  policy.max_delay_s = 0.05;  // flush cadence; irrelevant to the acks
-  auto j = w.journal(policy);
-  std::vector<Ack> acks(3);
-  for (uint64_t i = 0; i < 3; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    EXPECT_EQ(a.at, 0.0);  // acked on arrival, before any disk time
-  }
-  // ...but the flush cadence still drove everything to the platter.
-  EXPECT_EQ(j->inner().record_count(), 3u);
-}
-
-TEST(GroupCommit, CrashBeforeAckLosesTheWholeBatch) {
-  GcWorld w;
-  // Neither trigger can fire: the batch is still open when power dies.
-  auto j = w.journal(DurabilityPolicy::batched(8, /*max_delay_s=*/10.0));
-  std::vector<Ack> acks(4);
-  for (uint64_t i = 0; i < 4; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.spawn(crash_at(&w.sim, &w, j.get(), 0.001));
-  w.sim.run();
-  for (const auto& a : acks) EXPECT_EQ(a.result, 2);  // refused, not lied to
-  EXPECT_EQ(j->inner().record_count(), 0u);
-  EXPECT_EQ(j->bytes_lost(), 4 * kRecordLen);
-  // No ack was issued, so no *acked* byte was lost: the contract held.
-  EXPECT_EQ(j->acked_bytes_lost(), 0u);
-  EXPECT_EQ(j->unsynced_records(), 0u);  // the window was fully accounted
-}
-
-TEST(GroupCommit, CrashMidDiskWriteLosesTheInflightBatch) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(2, /*max_delay_s=*/10.0));
-  std::vector<Ack> acks(2);
-  for (uint64_t i = 0; i < 2; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  // The pair closes the batch at t=0 and the disk write takes ~2 ms; the
-  // power loss at 1 ms catches it on the platter path. The incarnation bump
-  // makes try_disk_write report failure at completion.
-  w.sim.spawn(crash_at(&w.sim, &w, j.get(), 0.001));
-  w.sim.run();
-  for (const auto& a : acks) EXPECT_EQ(a.result, 2);
-  EXPECT_EQ(j->inner().record_count(), 0u);
-  EXPECT_EQ(j->bytes_lost(), 2 * kRecordLen);
-  EXPECT_EQ(j->acked_bytes_lost(), 0u);
-}
-
-TEST(GroupCommit, CrashAfterAckLosesNothing) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
-  std::vector<Ack> acks(4);
-  for (uint64_t i = 0; i < 4; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  // Well after the count trigger synced the batch (~2 ms).
-  w.sim.spawn(crash_at(&w.sim, &w, j.get(), 1.0));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    EXPECT_LT(a.at, 1.0);
-  }
-  EXPECT_EQ(j->bytes_lost(), 0u);
-  EXPECT_EQ(j->acked_bytes_lost(), 0u);
-  EXPECT_EQ(j->inner().record_count(), 4u);
-  // Replay sees all four: what was acked survived the power loss.
-  uint64_t replayed = 0;
-  j->scan([&](const Bytes&) { ++replayed; });
-  EXPECT_EQ(replayed, 4u);
-}
-
-TEST(GroupCommit, ReplayAfterTornTailMidBatchKeepsEveryAckedRecord) {
-  GcWorld w;
-  auto j = w.journal(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
-  // Two full batches reach the platter and are acked.
-  std::vector<Ack> acks(8);
-  for (uint64_t i = 0; i < 8; ++i)
-    w.sim.spawn(one_append(&w.sim, j.get(), i, &acks[i]));
-  w.sim.run_until(1.0);
-  for (const auto& a : acks) ASSERT_EQ(a.result, 1);
-  ASSERT_EQ(j->inner().record_count(), 8u);
-  // A third batch is torn mid-write by the power loss: model the torn tail
-  // by appending part of it to the durable log, then cutting the log back
-  // mid-batch — one of its records survives the tear, one does not.
-  auto* inner = static_cast<MemoryJournal*>(&j->inner());
-  inner->append(Bytes(kRecordLen, 100));
-  inner->append(Bytes(kRecordLen, 101));
-  inner->corrupt_tail(/*keep_records=*/9);
-  // Replay: every acked record is still there, in order; the torn batch
-  // contributes only its intact prefix.
-  std::vector<uint8_t> tags;
-  j->scan([&](const Bytes& r) { tags.push_back(r[0]); });
-  ASSERT_EQ(tags.size(), 9u);
-  for (uint64_t i = 0; i < 8; ++i) EXPECT_EQ(tags[i], static_cast<uint8_t>(i));
-  EXPECT_EQ(tags[8], 100);
-}
-
-sim::Task<void> one_put(sim::Simulator* sim, KvStore* kv, std::string key,
+sim::Task<void> one_put(sim::Simulator* sim, Provider* p, uint64_t i,
                         Ack* ack) {
-  const bool ok = co_await kv->put_acked(key, Bytes(kRecordLen, 7));
+  const bool ok = co_await p->put_page(kClient, page_key(i),
+                                       DataSpec::pattern(i, 0, kPage));
   ack->result = ok ? 1 : 2;
   ack->at = sim->now();
 }
 
-TEST(GroupCommit, KvStorePutAckedRidesTheBatch) {
-  GcWorld w;
-  auto journal = w.journal(DurabilityPolicy::batched(4, /*max_delay_s=*/10.0));
-  GroupCommitJournal* j = journal.get();
-  KvStore kv(std::move(journal));
-  std::vector<Ack> acks(4);
-  for (uint64_t i = 0; i < 4; ++i)
-    w.sim.spawn(one_put(&w.sim, &kv, "k" + std::to_string(i), &acks[i]));
-  w.sim.run();
-  for (const auto& a : acks) {
-    EXPECT_EQ(a.result, 1);
-    EXPECT_LT(a.at, 1.0);  // count trigger, not the 10 s timer
-  }
-  EXPECT_EQ(j->batches_synced(), 1u);
-  // Write-behind read visibility: the store applied each put immediately.
-  EXPECT_EQ(kv.size(), 4u);
+// Power loss as the fault layer delivers it: the node goes down first
+// (bumping its incarnation, which fails the batch on the disk), then the
+// provider drops its RAM.
+sim::Task<void> crash_at(sim::Simulator* sim, net::Network* net, Provider* p,
+                         double at) {
+  co_await sim->delay(at);
+  net->set_node_up(kNode, false);
+  p->crash();
 }
 
-TEST(GroupCommit, CheckpointSettlesPendingBatchesAsSubsumed) {
-  GcWorld w;
-  auto journal = w.journal(DurabilityPolicy::batched(100, /*max_delay_s=*/10.0));
-  GroupCommitJournal* j = journal.get();
-  KvStore kv(std::move(journal));
-  for (int i = 0; i < 10; ++i) kv.put("k" + std::to_string(i), Bytes(8, 1));
-  EXPECT_EQ(j->unsynced_records(), 10u);
-  // checkpoint() truncates the journal and appends one snapshot record; the
-  // buffered batch must be settled (subsumed), never flushed after it.
-  kv.checkpoint();
-  w.sim.run();
-  EXPECT_EQ(j->unsynced_records(), 0u);
-  EXPECT_EQ(j->bytes_lost(), 0u);
-  // The durable log replays to exactly the checkpointed state.
-  auto replayed = std::make_unique<MemoryJournal>();
-  j->scan([&](const Bytes& r) { replayed->append(r); });
-  KvStore kv2(std::move(replayed));
-  EXPECT_EQ(kv2.size(), 10u);
+struct GroupCommitCase {
+  std::string name;
+  DurabilityPolicy policy;
+  uint64_t pages;    // concurrent put_page calls at t=0
+  double crash_s;    // kNoCrash = no power loss
+  // (sim time, kv/group_commit_batches at that time): pins which trigger
+  // closed the batch.
+  std::vector<std::pair<double, uint64_t>> probes;
+  double min_ack_s;  // every acknowledged put resolved at or after this
+  // End state.
+  uint64_t batches;
+  uint64_t records;
+  uint64_t acked;             // puts that resolved true; the rest are refused
+  uint64_t lost_pages;        // bytes_lost_on_power_loss / kPage
+  uint64_t acked_lost_pages;  // acked_bytes_lost_on_power_loss / kPage
+  uint64_t stored;            // pages the provider still holds
+};
+
+std::vector<GroupCommitCase> cases() {
+  return {
+      // Four pages close a max_records=4 batch long before the 10 s timer,
+      // paying one disk positioning overhead for all four.
+      {"CountTriggerFiresBeforeTimer", DurabilityPolicy::batched(4, 10.0), 4,
+       kNoCrash, {{0.5, 1}}, 0, 1, 4, 4, 0, 0, 4},
+      // The batch never fills; the 50 ms timer flushes it.
+      {"TimerTriggerFiresBeforeCount", DurabilityPolicy::batched(100, 0.05), 3,
+       kNoCrash, {{0.04, 0}, {0.1, 1}}, 0, 1, 3, 3, 0, 0, 3},
+      // One batch per page, and each ack waits for its own sync (at least
+      // one disk positioning overhead).
+      {"ImmediateSyncsEveryPageAlone", DurabilityPolicy::immediate(), 3,
+       kNoCrash, {}, 2e-3, 3, 3, 3, 0, 0, 3},
+      // The power loss at 1 ms catches the first page on the platter path
+      // and the rest in RAM: the whole window dies, and since kImmediate
+      // acks nothing unsynced, no acked byte is lost.
+      {"ImmediateCrashBeforeAckLosesTheWindow", DurabilityPolicy::immediate(),
+       4, 1e-3, {}, 0, 0, 0, 0, 4, 0, 0},
+      // kBatched acks a page while the window ahead of it holds at most
+      // max_records pages: pages 1-4 are acked on arrival, 5-6 wait. The
+      // crash kills the in-flight batch (1-4) and the queue (5-6); the
+      // acked loss is exactly the max_records bound.
+      {"BatchedCrashBeforeAckLosesTheWindow",
+       DurabilityPolicy::batched(4, 10.0), 6, 1e-3, {}, 0, 0, 0, 4, 6, 4, 0},
+      // kNone acks on arrival: a crash before the flush loses every page,
+      // all of them acked (the unbounded window).
+      {"NoneCrashBeforeSyncLosesEveryAckedPage", DurabilityPolicy::none(), 3,
+       1e-3, {}, 0, 0, 0, 3, 3, 3, 0},
+      // Well after the count trigger synced the batch (~2 ms): what was
+      // acked survives the plain crash.
+      {"CrashAfterAckLosesNothing", DurabilityPolicy::batched(4, 10.0), 4, 1.0,
+       {}, 0, 1, 4, 4, 0, 0, 4},
+  };
 }
+
+void PrintTo(const GroupCommitCase& c, std::ostream* os) { *os << c.name; }
+
+class GroupCommitTest : public ::testing::TestWithParam<GroupCommitCase> {};
+
+TEST_P(GroupCommitTest, TriggersAndLossMatchThePolicy) {
+  const GroupCommitCase& c = GetParam();
+  sim::Simulator sim;
+  net::Network net(sim, tiny_net());
+  ProviderConfig cfg;
+  cfg.node = kNode;
+  cfg.durability = c.policy;
+  Provider p(sim, net, cfg);
+  obs::MetricsRegistry& m = sim.metrics();
+  const obs::Counter& batches = m.counter("kv/group_commit_batches");
+  const obs::Counter& records = m.counter("kv/group_commit_records");
+
+  std::vector<Ack> acks(c.pages);
+  for (uint64_t i = 0; i < c.pages; ++i) {
+    sim.spawn(one_put(&sim, &p, i, &acks[i]));
+  }
+  if (c.crash_s != kNoCrash) sim.spawn(crash_at(&sim, &net, &p, c.crash_s));
+  for (const auto& [at, expected] : c.probes) {
+    sim.run_until(at);
+    EXPECT_EQ(batches.value(), static_cast<double>(expected)) << "at " << at;
+  }
+  sim.run();
+
+  uint64_t acked = 0;
+  for (const Ack& a : acks) {
+    ASSERT_NE(a.result, 0) << "an ack never resolved";
+    if (a.result == 1) {
+      ++acked;
+      EXPECT_GE(a.at, c.min_ack_s);
+    }
+  }
+  EXPECT_EQ(acked, c.acked);
+  EXPECT_EQ(batches.value(), static_cast<double>(c.batches));
+  EXPECT_EQ(records.value(), static_cast<double>(c.records));
+  EXPECT_EQ(p.flush_batches(), c.batches);
+  EXPECT_EQ(p.bytes_lost_on_power_loss(), c.lost_pages * kPage);
+  EXPECT_EQ(p.acked_bytes_lost_on_power_loss(), c.acked_lost_pages * kPage);
+  EXPECT_EQ(m.counter("kv/acked_bytes_lost_on_power_loss").value(),
+            static_cast<double>(c.acked_lost_pages * kPage));
+  // The window was fully accounted: nothing is left unsynced.
+  EXPECT_EQ(p.unsynced_pages(), 0u);
+  EXPECT_EQ(m.gauge("kv/unsynced_bytes").value(), 0.0);
+  uint64_t stored = 0;
+  for (uint64_t i = 0; i < c.pages; ++i) stored += p.has_page(page_key(i));
+  EXPECT_EQ(stored, c.stored);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, GroupCommitTest, ::testing::ValuesIn(cases()),
+    [](const ::testing::TestParamInfo<GroupCommitCase>& info) {
+      return info.param.name;
+    });
 
 }  // namespace
-}  // namespace bs::kv
+}  // namespace bs::blob
