@@ -7,6 +7,9 @@
 // distribution lets every client stripe its reads over many providers,
 // while each HDFS client streams whole blocks from single datanodes and
 // random placement creates hotspots.
+//
+// Gate: exits nonzero unless BSFS's aggregate throughput is above HDFS's at
+// every client count (the paper's claim, not a tuned threshold).
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -63,6 +66,7 @@ int main(int argc, char** argv) {
 
   Table table({"clients", "BSFS MB/s per client", "HDFS MB/s per client",
                "BSFS aggregate MB/s", "HDFS aggregate MB/s"});
+  int failures = 0;
   for (uint32_t n : client_sweep()) {
     auto bsfs_res = run_reads(bsfs_world.sim, *bsfs_world.fs,
                               make_tasks(bsfs_world.options.cluster, n));
@@ -78,7 +82,16 @@ int main(int argc, char** argv) {
     report.metric(k + "/hdfs_mbps_per_client", hdfs_res.per_client_mbps.mean());
     report.metric(k + "/bsfs_aggregate_mbps", bsfs_res.aggregate_mbps);
     report.metric(k + "/hdfs_aggregate_mbps", hdfs_res.aggregate_mbps);
+    if (!(bsfs_res.aggregate_mbps > hdfs_res.aggregate_mbps)) {
+      std::fprintf(stderr,
+                   "GATE FAIL: %u clients: BSFS aggregate %.1f MB/s is not "
+                   "above HDFS %.1f MB/s\n",
+                   n, bsfs_res.aggregate_mbps, hdfs_res.aggregate_mbps);
+      ++failures;
+    }
   }
   report.table(table);
-  return 0;
+  report.say("\ngate (BSFS aggregate above HDFS at every N): %s\n",
+             failures == 0 ? "PASSED" : "FAILED");
+  return failures == 0 ? 0 : 1;
 }

@@ -85,6 +85,45 @@ void BM_FlowSolverChurn(benchmark::State& state) {
 }
 BENCHMARK(BM_FlowSolverChurn)->Arg(256)->Arg(1024)->Arg(4096);
 
+// The fig1 regime on the paper cluster (270 nodes, 30 per rack, 4 Gb/s
+// rack uplinks, a per-stream cap at 0.65 x NIC): each reader pulls 64 KiB-
+// 1 MiB fetches from 16 random providers, four in a row per provider, with
+// staggered starts. Solves run over hundreds to thousands of classes and
+// tens of levels, the shape the paper's read benches put on the solver.
+void BM_FlowSolverFanIn(benchmark::State& state) {
+  const auto readers = static_cast<uint32_t>(state.range(0));
+  constexpr uint32_t kProviders = 16;
+  constexpr int kFetches = 4;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    net::ClusterConfig cfg;
+    cfg.rack_uplink_bps = 4.0e9;
+    cfg.per_stream_cap_bps = 0.65 * cfg.nic_bps;
+    net::Network net(sim, cfg);
+    Rng rng(1);
+    auto stream = [](net::Network& n, net::NodeId src, net::NodeId dst,
+                     double bytes, double start) -> sim::Task<void> {
+      co_await n.simulator().delay(start);
+      for (int k = 0; k < kFetches; ++k) co_await n.transfer(src, dst, bytes);
+    };
+    for (uint32_t r = 0; r < readers; ++r) {
+      const auto reader = static_cast<net::NodeId>(1 + r % (cfg.num_nodes - 1));
+      for (uint32_t p = 0; p < kProviders; ++p) {
+        auto provider =
+            static_cast<net::NodeId>(1 + rng.below(cfg.num_nodes - 1));
+        if (provider == reader) provider = provider % (cfg.num_nodes - 1) + 1;
+        const double bytes = 65536.0 + rng.uniform() * (1048576.0 - 65536.0);
+        sim.spawn(stream(net, provider, reader, bytes, rng.uniform() * 0.05));
+      }
+    }
+    sim.run();
+    benchmark::DoNotOptimize(net.bytes_moved());
+  }
+  state.SetItemsProcessed(state.iterations() * readers * kProviders *
+                          kFetches);
+}
+BENCHMARK(BM_FlowSolverFanIn)->Arg(120)->Unit(benchmark::kMillisecond);
+
 // Steady-state call_at: one self-rescheduling callback, so the pooled slot
 // is recycled every tick — the loop should not allocate after warm-up.
 void BM_CallAt(benchmark::State& state) {

@@ -9,6 +9,9 @@
 //
 // The paper reports job completion times, with BSFS finishing faster than
 // HDFS for both, consistent with the microbenchmarks.
+//
+// Gate: exits nonzero unless BSFS's job time is below HDFS's for both
+// applications (the paper's claim, not a tuned threshold).
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -69,12 +72,23 @@ mr::JobStats run_grep(sim::Simulator& sim, net::Network& net,
   return stats;
 }
 
-void print_job(BenchReport& report, Table& table, const mr::JobStats& s) {
+// Prints one job's row and returns its completion time.
+double print_job(BenchReport& report, Table& table, const mr::JobStats& s) {
   table.add_row({s.job_name, s.fs_name, Table::num(s.duration),
                  std::to_string(s.maps), std::to_string(s.reduces),
                  std::to_string(s.data_local_maps), format_bytes(
                      static_cast<double>(s.input_bytes + s.output_bytes))});
   report.metric(s.job_name + "/" + s.fs_name + "/job_time_s", s.duration);
+  return s.duration;
+}
+
+// Counts a failure unless BSFS finished the job before HDFS.
+int gate_job(const char* app, double bsfs_s, double hdfs_s) {
+  if (bsfs_s < hdfs_s) return 0;
+  std::fprintf(stderr,
+               "GATE FAIL: %s: BSFS job time %.3f s is not below HDFS %.3f s\n",
+               app, bsfs_s, hdfs_s);
+  return 1;
 }
 
 }  // namespace
@@ -87,30 +101,37 @@ int main(int argc, char** argv) {
   Table table({"application", "backend", "job time (s)", "maps", "reduces",
                "data-local maps", "bytes touched"});
 
+  int failures = 0;
   {  // RandomTextWriter (write-heavy, map-only)
     BsfsWorld bsfs_world;
-    print_job(report, table,
-              run_rtw(bsfs_world.sim, bsfs_world.net, *bsfs_world.fs));
+    const double bsfs_s = print_job(
+        report, table, run_rtw(bsfs_world.sim, bsfs_world.net, *bsfs_world.fs));
     HdfsWorld hdfs_world;
-    print_job(report, table,
-              run_rtw(hdfs_world.sim, hdfs_world.net, *hdfs_world.fs));
+    const double hdfs_s = print_job(
+        report, table, run_rtw(hdfs_world.sim, hdfs_world.net, *hdfs_world.fs));
+    failures += gate_job("RandomTextWriter", bsfs_s, hdfs_s);
   }
   {  // DistributedGrep (read-heavy, shared input)
     BsfsWorld bsfs_world;
     bsfs_world.sim.spawn(
         bsfs_stage_file(bsfs_world, "/in/huge", kGrepInputBytes, 4242));
     bsfs_world.sim.run();
-    print_job(report, table,
-              run_grep(bsfs_world.sim, bsfs_world.net, *bsfs_world.fs,
-                       "/in/huge"));
+    const double bsfs_s =
+        print_job(report, table,
+                  run_grep(bsfs_world.sim, bsfs_world.net, *bsfs_world.fs,
+                           "/in/huge"));
     HdfsWorld hdfs_world;
     hdfs_world.sim.spawn(
         put_file(*hdfs_world.fs, 0, "/in/huge", kGrepInputBytes, 4242));
     hdfs_world.sim.run();
-    print_job(report, table,
-              run_grep(hdfs_world.sim, hdfs_world.net, *hdfs_world.fs,
-                       "/in/huge"));
+    const double hdfs_s =
+        print_job(report, table,
+                  run_grep(hdfs_world.sim, hdfs_world.net, *hdfs_world.fs,
+                           "/in/huge"));
+    failures += gate_job("DistributedGrep", bsfs_s, hdfs_s);
   }
   report.table(table);
-  return 0;
+  report.say("\ngate (BSFS job time below HDFS for both apps): %s\n",
+             failures == 0 ? "PASSED" : "FAILED");
+  return failures == 0 ? 0 : 1;
 }

@@ -1,6 +1,7 @@
 #include "net/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -18,6 +19,9 @@ namespace {
 // A flow is "finished" when less than half a byte remains; fluid-model
 // arithmetic accumulates tiny float error that this absorbs.
 constexpr double kRemainingEps = 0.5;
+
+// scratch_rank_ entry of a class the running solve has already frozen.
+constexpr uint32_t kFrozen = ~uint32_t{0};
 
 std::string xfer_args(NodeId src, NodeId dst, double bytes) {
   char buf[96];
@@ -57,7 +61,12 @@ Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
   legacy_ = cfg_.legacy_solver || (env != nullptr && env[0] == '1');
   const uint32_t n = cfg_.num_nodes;
   const uint32_t r = cfg_.num_racks();
-  link_capacity_.assign(2 * n + 2 * r, 0);
+  const size_t links = 2 * n + 2 * r;
+  link_capacity_.assign(links, 0);
+  link_classes_.resize(links);
+  scratch_remaining_.assign(links, 0);
+  scratch_count_.assign(links, 0);
+  scratch_watch_.assign(links, 0);
   for (uint32_t i = 0; i < n; ++i) {
     link_capacity_[link_node_up(i)] = cfg_.nic_bps;
     link_capacity_[link_node_down(i)] = cfg_.nic_bps;
@@ -90,6 +99,9 @@ Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
   m_rpcs_ = &m.counter("net/rpcs");
   m_rpc_timeouts_ = &m.counter("net/rpc_timeouts");
   m_solves_ = &m.counter("net/solver_solves");
+  m_levels_ = &m.counter("net/solver_levels");
+  m_link_visits_ = &m.counter("net/solver_link_visits");
+  m_class_visits_ = &m.counter("net/solver_class_visits");
   m_transfer_s_ = &m.histogram("net/transfer_s");
   obs::Counter* disk_rd = &m.counter("net/disk_read_bytes");
   obs::Counter* disk_wr = &m.counter("net/disk_write_bytes");
@@ -233,7 +245,6 @@ uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {
     classes_.emplace_back();
   }
   PathClass& c = classes_[ci];
-  c.cid = next_class_id_++;
   c.src = src;
   c.dst = dst;
   c.cap = cap;
@@ -246,8 +257,13 @@ uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {
     c.path[c.path_len++] = link_rack_down(cfg_.rack_of(dst));
   }
   c.path[c.path_len++] = link_node_down(dst);
-  // New classes get the largest cid so far, so appending keeps the active
-  // list sorted by creation id (the solver's deterministic order).
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    std::vector<uint32_t>& on_link = link_classes_[c.path[k]];
+    c.link_pos[k] = static_cast<uint32_t>(on_link.size());
+    on_link.push_back(ci);
+  }
+  // Appending keeps the active list in creation order (the solver's
+  // deterministic order).
   active_classes_.push_back(ci);
   class_index_.emplace(key, ci);
   ++sstats_.path_classes_created;
@@ -319,12 +335,30 @@ void Network::compact_dead_classes() {
   for (size_t r = 0; r < active_classes_.size(); ++r) {
     const uint32_t ci = active_classes_[r];
     if (classes_[ci].n == 0) {
+      unlink_class(ci);
       free_classes_.push_back(ci);
       continue;
     }
     active_classes_[w++] = ci;
   }
   active_classes_.resize(w);
+}
+
+void Network::unlink_class(uint32_t ci) {
+  const PathClass& c = classes_[ci];
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    // Swap-remove; the class moved into the hole learns its new position.
+    const uint32_t l = c.path[k];
+    std::vector<uint32_t>& on_link = link_classes_[l];
+    const uint32_t pos = c.link_pos[k];
+    const uint32_t moved = on_link.back();
+    on_link[pos] = moved;
+    on_link.pop_back();
+    PathClass& m = classes_[moved];
+    for (uint32_t j = 0; j < m.path_len; ++j) {
+      if (m.path[j] == l) m.link_pos[j] = pos;
+    }
+  }
 }
 
 void Network::solve_flows_legacy() {
@@ -337,10 +371,6 @@ void Network::solve_flows_legacy() {
   // and baseline; flows borrow their path and cap from their class (same
   // values the old per-flow fields held, so the arithmetic — and therefore
   // the solved rates — are bit-identical to the historical code).
-  if (scratch_remaining_.size() != link_capacity_.size()) {
-    scratch_remaining_.resize(link_capacity_.size());
-    scratch_count_.resize(link_capacity_.size());
-  }
   scratch_links_.clear();
   for (Flow* f : flow_order_) {
     f->rate = -1;  // -1 = unfrozen
@@ -355,7 +385,9 @@ void Network::solve_flows_legacy() {
     }
   }
   size_t unfrozen = flow_order_.size();
+  uint64_t levels = 0;
   while (unfrozen > 0) {
+    ++levels;
     // Bottleneck share across links, and the smallest unfrozen per-flow cap.
     double best_share = std::numeric_limits<double>::infinity();
     for (uint32_t l : scratch_links_) {
@@ -408,6 +440,7 @@ void Network::solve_flows_legacy() {
   }
   // Reset counters for the next call (remaining_ is re-seeded lazily).
   for (uint32_t l : scratch_links_) scratch_count_[l] = 0;
+  add_work(levels, 0, 0);
 }
 
 void Network::solve_classes() {
@@ -415,16 +448,23 @@ void Network::solve_classes() {
   m_solves_->inc();
   compact_dead_classes();
   if (flows_.empty()) return;
-  if (scratch_remaining_.size() != link_capacity_.size()) {
-    scratch_remaining_.resize(link_capacity_.size());
-    scratch_count_.resize(link_capacity_.size());
-  }
+  // Work counters, kept local so the loops never touch the registry.
+  uint64_t levels = 0, link_visits = 0, class_visits = 0;
   // Seed link loads: scratch_count_ carries member flows, not classes, so
   // the fair-share arithmetic matches the per-flow solver's semantics.
+  // A class's rank is its position in creation order; scratch_rank_ holds
+  // it per slot until the class freezes. Capped classes are listed (in rank
+  // order) with their smallest cap, so a level only sweeps them when some
+  // cap can bind.
   scratch_links_.clear();
-  for (uint32_t ci : active_classes_) {
-    PathClass& c = classes_[ci];
-    c.rate = -1;  // -1 = unfrozen
+  scratch_capped_.clear();
+  if (scratch_rank_.size() < classes_.size()) {
+    scratch_rank_.resize(classes_.size());
+  }
+  double min_cap = std::numeric_limits<double>::infinity();
+  for (uint32_t rank = 0; rank < active_classes_.size(); ++rank) {
+    PathClass& c = classes_[active_classes_[rank]];
+    scratch_rank_[active_classes_[rank]] = rank;
     for (uint32_t k = 0; k < c.path_len; ++k) {
       const uint32_t l = c.path[k];
       if (scratch_count_[l] == 0) {
@@ -433,60 +473,153 @@ void Network::solve_classes() {
       }
       scratch_count_[l] += c.n;
     }
+    if (c.cap > 0) {
+      scratch_capped_.push_back(active_classes_[rank]);
+      min_cap = std::min(min_cap, c.cap);
+    }
   }
+  class_visits += active_classes_.size();
+  // Freezes slot ci at `rate` and subtracts its members from its links.
+  auto freeze = [this](uint32_t ci, double rate) {
+    PathClass& c = classes_[ci];
+    scratch_rank_[ci] = kFrozen;
+    c.rate = rate;
+    const double used = rate * c.n;
+    for (uint32_t k = 0; k < c.path_len; ++k) {
+      const uint32_t l = c.path[k];
+      scratch_remaining_[l] -= used;
+      scratch_count_[l] -= c.n;
+    }
+  };
+  // Bottleneck candidates of a level, as a bitmap over ranks: reading it
+  // word by word yields them in rank order without a sort. All words are
+  // zero between levels; [cand_lo, cand_hi] bounds the ones in use.
+  const size_t cand_words = (active_classes_.size() + 63) / 64;
+  if (scratch_cands_.size() < cand_words) scratch_cands_.resize(cand_words);
+  size_t cand_lo = 0, cand_hi = 0;
+  // Marks link l's unfrozen classes from rank `first` on as candidates
+  // and stops watching the link for the rest of the level.
+  auto collect = [&](uint32_t l, uint32_t first) {
+    scratch_watch_[l] = 0;
+    class_visits += link_classes_[l].size();
+    for (uint32_t ci : link_classes_[l]) {
+      const uint32_t rank = scratch_rank_[ci];
+      if (rank == kFrozen || rank < first) continue;
+      const size_t w = rank / 64;
+      scratch_cands_[w] |= uint64_t{1} << (rank % 64);
+      cand_lo = std::min(cand_lo, w);
+      cand_hi = std::max(cand_hi, w);
+    }
+  };
   size_t unfrozen = active_classes_.size();
   while (unfrozen > 0) {
+    ++levels;
+    ++level_stamp_;
+    // Fair-share minimum over the live links; links whose every class is
+    // frozen drop out of the list for the rest of the solve. Links within a
+    // relative 1e-9 of the running minimum are kept aside and watched: the
+    // bottleneck test's 1e-12 slack cannot pass any other link, so the
+    // round reads only them.
     double best_share = std::numeric_limits<double>::infinity();
+    link_visits += scratch_links_.size();
+    scratch_near_.clear();
+    size_t live = 0;
     for (uint32_t l : scratch_links_) {
       const uint32_t cnt = scratch_count_[l];
       if (cnt == 0) continue;
+      scratch_links_[live++] = l;
       const double fair = scratch_remaining_[l] / cnt;
       if (fair < best_share) best_share = fair;
-    }
-    bool froze_capped = false;
-    for (uint32_t ci : active_classes_) {
-      PathClass& c = classes_[ci];
-      if (c.rate >= 0) continue;
-      if (c.cap > 0 && c.cap <= best_share) {
-        c.rate = c.cap;
-        const double used = c.rate * c.n;
-        for (uint32_t k = 0; k < c.path_len; ++k) {
-          const uint32_t l = c.path[k];
-          scratch_remaining_[l] -= used;
-          scratch_count_[l] -= c.n;
-        }
-        --unfrozen;
-        froze_capped = true;
+      if (fair - best_share <= std::abs(best_share) * 1e-9) {
+        scratch_near_.push_back(l);
+        scratch_watch_[l] = level_stamp_;
       }
     }
-    if (froze_capped) continue;
+    scratch_links_.resize(live);
+    if (min_cap <= best_share) {
+      // Cap round: every unfrozen class whose cap binds before the links
+      // do freezes at its cap, in rank order. The survivors give the next
+      // minimum; classes frozen by earlier bottleneck rounds drop out.
+      bool froze_capped = false;
+      min_cap = std::numeric_limits<double>::infinity();
+      class_visits += scratch_capped_.size();
+      size_t kept = 0;
+      for (uint32_t ci : scratch_capped_) {
+        if (scratch_rank_[ci] == kFrozen) continue;
+        const PathClass& c = classes_[ci];
+        if (c.cap <= best_share) {
+          freeze(ci, c.cap);
+          --unfrozen;
+          froze_capped = true;
+          continue;
+        }
+        scratch_capped_[kept++] = ci;
+        min_cap = std::min(min_cap, c.cap);
+      }
+      scratch_capped_.resize(kept);
+      if (froze_capped) continue;
+    }
+    // Bottleneck round. Only classes crossing a link at the bottleneck
+    // share can freeze, so candidates come from those links' indexes and
+    // are then tested in rank order against the live state, exactly as a
+    // sweep over every class would. A freeze can push a watched link that
+    // missed the test by round-off into it; that link's later classes are
+    // then marked too. An unwatched link starts at least 1e-9 above the
+    // share, and each freeze moves its test by about 2^-53 relative, so it
+    // would take millions of freezes on one link to cross.
     const double share = best_share;
     const double limit = share * (1 + 1e-12);
-    for (uint32_t ci : active_classes_) {
-      PathClass& c = classes_[ci];
-      if (c.rate >= 0) continue;
-      bool bottlenecked = false;
-      for (uint32_t k = 0; k < c.path_len; ++k) {
-        const uint32_t l = c.path[k];
-        if (scratch_remaining_[l] <= limit * scratch_count_[l]) {
-          bottlenecked = true;
-          break;
+    auto bottleneck = [&](uint32_t l) {
+      return scratch_remaining_[l] <= limit * scratch_count_[l];
+    };
+    cand_lo = cand_words;
+    cand_hi = 0;
+    link_visits += scratch_near_.size();
+    for (uint32_t l : scratch_near_) {
+      if (bottleneck(l)) collect(l, 0);
+    }
+    // A freeze only marks ranks above the current one, so they land later
+    // in this word or in a later word, and the scan still meets them.
+    for (size_t w = cand_lo; w <= cand_hi; ++w) {
+      while (scratch_cands_[w] != 0) {
+        const int bit = std::countr_zero(scratch_cands_[w]);
+        scratch_cands_[w] &= scratch_cands_[w] - 1;  // pop the lowest rank
+        const auto rank = static_cast<uint32_t>(w * 64 + bit);
+        const uint32_t ci = active_classes_[rank];
+        const PathClass& c = classes_[ci];
+        bool bottlenecked = false;
+        for (uint32_t k = 0; k < c.path_len; ++k) {
+          if (bottleneck(c.path[k])) {
+            bottlenecked = true;
+            break;
+          }
         }
-      }
-      if (bottlenecked) {
-        c.rate = share;
-        const double used = share * c.n;
+        if (!bottlenecked) continue;
+        freeze(ci, share);
+        --unfrozen;
         for (uint32_t k = 0; k < c.path_len; ++k) {
           const uint32_t l = c.path[k];
-          scratch_remaining_[l] -= used;
-          scratch_count_[l] -= c.n;
+          if (scratch_watch_[l] == level_stamp_ && scratch_count_[l] > 0 &&
+              bottleneck(l)) {
+            collect(l, rank + 1);
+          }
         }
-        --unfrozen;
       }
     }
   }
   for (uint32_t l : scratch_links_) scratch_count_[l] = 0;
   for (Flow* f : flow_order_) f->rate = classes_[f->cls].rate;
+  add_work(levels, link_visits, class_visits);
+}
+
+void Network::add_work(uint64_t levels, uint64_t link_visits,
+                       uint64_t class_visits) {
+  sstats_.levels += levels;
+  sstats_.link_visits += link_visits;
+  sstats_.class_visits += class_visits;
+  m_levels_->inc(static_cast<double>(levels));
+  m_link_visits_->inc(static_cast<double>(link_visits));
+  m_class_visits_->inc(static_cast<double>(class_visits));
 }
 
 void Network::mark_rates_dirty() {
@@ -572,6 +705,27 @@ SolverStats Network::solver_stats() const {
   }
   s.active_path_classes = active;
   return s;
+}
+
+bool Network::link_index_consistent() const {
+  // Every active class sits at its recorded position on each of its links,
+  // and the lists hold nothing else (so no slot survives its class).
+  size_t expected = 0;
+  for (uint32_t ci : active_classes_) {
+    const PathClass& c = classes_[ci];
+    for (uint32_t k = 0; k < c.path_len; ++k) {
+      const std::vector<uint32_t>& on_link = link_classes_[c.path[k]];
+      if (c.link_pos[k] >= on_link.size() || on_link[c.link_pos[k]] != ci) {
+        return false;
+      }
+    }
+    expected += c.path_len;
+  }
+  size_t entries = 0;
+  for (const std::vector<uint32_t>& on_link : link_classes_) {
+    entries += on_link.size();
+  }
+  return entries == expected;
 }
 
 double Network::solver_oracle_max_rel_diff() {

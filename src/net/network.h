@@ -6,8 +6,7 @@
 // filling (freeze the bottleneck, subtract, repeat) and the earliest
 // completion is scheduled. This is the standard fluid approximation used in
 // datacenter simulators; it reproduces the contention and hotspot effects
-// the paper's throughput curves depend on, at a cost of O(flows·links) per
-// change instead of per-packet events.
+// the paper's throughput curves depend on without per-packet events.
 //
 // Solver engineering (the sim's dominant CPU cost at cluster scale):
 //
@@ -16,6 +15,18 @@
 //    thousands of identical src→rack→dst streams collapse into a handful
 //    of classes. Progressive filling runs over classes weighted by member
 //    count, not over individual flows.
+//  - Bottleneck-local levels: a solve seeds link loads once, O(C·p) for C
+//    classes of path length p ≤ 4; each level then costs O(live links +
+//    classes on that level's bottleneck links). Links with no unfrozen
+//    class drop out of the scan, only links near the minimum share are
+//    tested as bottlenecks, capped classes are swept only when the
+//    smallest cap can bind, and bottleneck candidates come from a
+//    link→class index instead of a pass over every class. Candidates are
+//    frozen in creation order with the same arithmetic as a full sweep, so
+//    the rates are bit-identical to it.
+//  - Link→class index: each link lists the active class slots crossing it,
+//    updated when a class is created or its slot recycled (no per-solve
+//    rebuild).
 //  - Instant-batched re-solve: a flow arrival/departure marks rates dirty;
 //    the solve runs ONCE at the end of the simulated instant (via the
 //    simulator's flush hook), so a burst of same-timestamp arrivals pays
@@ -119,6 +130,9 @@ struct NodePerf {
 };
 
 // Solver introspection for benches and tests (bench/ext9, net_test).
+// The work counters are deterministic and mirrored as net/solver_levels,
+// net/solver_link_visits and net/solver_class_visits; the legacy backend
+// counts levels only.
 struct SolverStats {
   uint64_t class_solves = 0;    // instant-batched path-class re-solves
   uint64_t legacy_solves = 0;   // full per-flow re-solves (legacy path)
@@ -126,6 +140,11 @@ struct SolverStats {
   uint64_t retimes_damped = 0;  // skipped: earliest completion unchanged
   uint64_t path_classes_created = 0;
   size_t active_path_classes = 0;
+  uint64_t levels = 0;        // progressive-filling levels, summed over solves
+  uint64_t link_visits = 0;   // links read by the levels: fair-share scans
+                              // and the bottleneck rounds' near-minimum links
+  uint64_t class_visits = 0;  // class entries read: seeding, cap sweeps and
+                              // link-index scans of bottleneck links
 };
 
 class Network {
@@ -216,6 +235,9 @@ class Network {
   // the active mode's rates in place, so calling it mid-run does not
   // perturb the simulation. Test/bench only — allocates.
   double solver_oracle_max_rel_diff();
+  // Whether the link→class index lists exactly the active class slots on
+  // each link (test only).
+  bool link_index_consistent() const;
 
  private:
   struct GroundTruth final : LivenessView {
@@ -226,11 +248,11 @@ class Network {
 
   // All flows between one (src, dst) pair under one cap share this: one
   // link path, one max-min rate. `n` members are solved as one weighted
-  // entity. Slots are recycled; `cid` (monotonic creation id) keeps the
-  // solver's iteration order deterministic.
+  // entity. Slots are recycled, so the solver's deterministic order is
+  // creation order (active_classes_), not slot order.
   struct PathClass {
-    uint64_t cid = 0;
     uint32_t path[4] = {0, 0, 0, 0};
+    uint32_t link_pos[4] = {0, 0, 0, 0};  // index in link_classes_[path[k]]
     uint32_t path_len = 0;
     uint32_t n = 0;        // member flow count (0 = dead slot)
     double cap = 0;        // per-flow cap (0 = none); part of the key
@@ -265,11 +287,15 @@ class Network {
   bool advance();
   // Recycles class slots whose membership dropped to zero.
   void compact_dead_classes();
+  // Removes a slot from the link→class index of every link on its path.
+  void unlink_class(uint32_t ci);
   // Rate re-solve, both backends. Legacy: per-flow progressive filling
   // (the pre-optimization oracle). Class: progressive filling over path
   // classes weighted by member count, rates written back to flows.
   void solve_flows_legacy();
   void solve_classes();
+  // Adds one solve's work to SolverStats and the net/solver_* counters.
+  void add_work(uint64_t levels, uint64_t link_visits, uint64_t class_visits);
   // Incremental path: marks rates stale and defers solve+retime to the
   // simulator's instant-end flush (one solve per instant, however many
   // arrivals/departures it batched).
@@ -288,23 +314,34 @@ class Network {
   bool legacy_ = false;
   std::vector<double> link_capacity_;
   bs::unordered_map<uint64_t, Flow> flows_;
-  // Path classes: slot storage + free list; active slots listed in cid
-  // order (dead slots are compacted out during the next solve); ordered
-  // key index for arrival lookup.
+  // Path classes: slot storage + free list; active slots listed in
+  // creation order (dead slots are compacted out during the next solve);
+  // ordered key index for arrival lookup.
   std::vector<PathClass> classes_;
   std::vector<uint32_t> free_classes_;
   std::vector<uint32_t> active_classes_;
   std::map<std::tuple<NodeId, NodeId, double>, uint32_t> class_index_;
+  // Link→class index: the active class slots crossing each link, in no
+  // particular order. Kept current by class_for() and unlink_class(), so
+  // a bottleneck round reads its candidates without a class sweep.
+  std::vector<std::vector<uint32_t>> link_classes_;
   // Scratch for the solvers (sized to the link count, reused).
   std::vector<double> scratch_remaining_;
   std::vector<uint32_t> scratch_count_;
   std::vector<uint32_t> scratch_links_;  // links touched by active flows
+  std::vector<uint32_t> scratch_near_;   // links near a level's minimum share
+  std::vector<uint32_t> scratch_capped_;  // unfrozen capped classes, in order
+  std::vector<uint64_t> scratch_cands_;   // candidate bitmap over ranks
+  std::vector<uint32_t> scratch_rank_;    // per slot: rank, or kFrozen
+  // Per link: the current level's stamp while the link is near the minimum
+  // share and its classes are not yet marked.
+  std::vector<uint64_t> scratch_watch_;
+  uint64_t level_stamp_ = 0;
   // Active flows sorted by id (deterministic, maintained incrementally).
   std::vector<Flow*> flow_order_;
   std::vector<std::unique_ptr<Disk>> disks_;
   double last_advance_ = 0;
   uint64_t next_flow_id_ = 1;
-  uint64_t next_class_id_ = 1;
   uint64_t timer_generation_ = 0;
   bool timer_pending_ = false;
   double timer_deadline_ = 0;
@@ -328,6 +365,9 @@ class Network {
   obs::Counter* m_rpcs_;
   obs::Counter* m_rpc_timeouts_;
   obs::Counter* m_solves_;
+  obs::Counter* m_levels_;
+  obs::Counter* m_link_visits_;
+  obs::Counter* m_class_visits_;
   obs::Histogram* m_transfer_s_;
   std::vector<obs::Counter*> m_rack_up_bytes_;
   std::vector<obs::Counter*> m_rack_down_bytes_;

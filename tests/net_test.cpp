@@ -478,6 +478,195 @@ TEST_P(SolverOracleTest, IncrementalRatesMatchFullSolveUnderChurn) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverOracleTest, ::testing::Range(1, 6));
 
+// Oracle probe over the live flow set that also records what the pair of
+// solves (one legacy, one class) cost, read from the solver work counters.
+struct OracleWork {
+  double max_rel_diff = 0;
+  uint64_t max_pair_levels = 0;      // legacy + class levels of one probe
+  size_t max_classes = 0;            // active path classes at a probe
+  uint64_t max_class_visits = 0;     // class-solver visits of one probe
+  size_t classes_at_max_visits = 0;  // active classes at that probe
+};
+
+void probe_oracle(Network& net, OracleWork& w) {
+  const SolverStats before = net.solver_stats();
+  w.max_rel_diff = std::max(w.max_rel_diff, net.solver_oracle_max_rel_diff());
+  const SolverStats after = net.solver_stats();
+  EXPECT_EQ(after.legacy_solves - before.legacy_solves, 1u);
+  EXPECT_EQ(after.class_solves - before.class_solves, 1u);
+  w.max_pair_levels =
+      std::max(w.max_pair_levels, after.levels - before.levels);
+  w.max_classes = std::max(w.max_classes, after.active_path_classes);
+  const uint64_t visits = after.class_visits - before.class_visits;
+  if (visits > w.max_class_visits) {
+    w.max_class_visits = visits;
+    w.classes_at_max_visits = after.active_path_classes;
+  }
+}
+
+TEST_F(SolverOracleTest, PaperShapedFanIn) {
+  // The fig1 regime: the paper cluster (270 nodes, 30 per rack, a per-
+  // stream cap at 0.65 x NIC), 120 readers each pulling 64 KiB-1 MiB
+  // fetches from 16 random providers, starts staggered so arrivals and
+  // departures interleave. Hundreds of classes over tens of levels.
+  sim::Simulator sim;
+  ClusterConfig cfg;
+  cfg.rack_uplink_bps = 4.0e9;
+  cfg.per_stream_cap_bps = 0.65 * cfg.nic_bps;
+  Network net(sim, cfg);
+  if (net.legacy_solver()) GTEST_SKIP() << "BS_LEGACY_SOLVER forces legacy";
+
+  Rng rng(2010);
+  auto fetch = [](Network& n, NodeId src, NodeId dst, double bytes,
+                  double start) -> sim::Task<void> {
+    co_await n.simulator().delay(start);
+    co_await n.transfer(src, dst, bytes);
+  };
+  constexpr uint32_t kReaders = 120;
+  constexpr uint32_t kProviders = 16;
+  for (uint32_t r = 0; r < kReaders; ++r) {
+    const NodeId reader = 1 + 2 * r;
+    for (uint32_t p = 0; p < kProviders; ++p) {
+      NodeId provider = 1 + static_cast<NodeId>(rng.below(cfg.num_nodes - 1));
+      if (provider == reader) provider = provider % (cfg.num_nodes - 1) + 1;
+      const double bytes = 65536.0 + rng.uniform() * (1048576.0 - 65536.0);
+      sim.spawn(fetch(net, provider, reader, bytes, rng.uniform() * 0.05));
+    }
+  }
+  OracleWork work;
+  auto probe = [](Network& n, OracleWork* w) -> sim::Task<void> {
+    for (int k = 0; k < 400; ++k) {
+      co_await n.simulator().delay(0.0037);
+      if (n.active_flows() == 0) break;
+      probe_oracle(n, *w);
+    }
+  };
+  sim.spawn(probe(net, &work));
+  sim.run();
+
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_LT(work.max_rel_diff, 1e-9);
+  EXPECT_GE(work.max_classes, 300u);
+  // Two solves ran per probe, so >= 20 levels means one reached >= 10.
+  EXPECT_GE(work.max_pair_levels, 20u);
+  // Bottleneck-local levels: class visits stay a small multiple of the
+  // class count (seeding, one index scan per path link, cap sweeps) rather
+  // than growing with levels x classes.
+  EXPECT_LE(work.max_class_visits, 8u * work.classes_at_max_visits);
+}
+
+TEST_F(SolverOracleTest, SymmetricTieFreezesAcrossBottlenecksInOneLevel) {
+  // Four cross-rack pairs with two flows each: all eight NIC links
+  // (100 MB/s / 2) and both rack links (400 MB/s / 8) sit at exactly
+  // 50 MB/s, so one level freezes every class across ten bottleneck
+  // links. A reverse flow on otherwise idle links takes a second level.
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  if (net.legacy_solver()) GTEST_SKIP() << "BS_LEGACY_SOLVER forces legacy";
+  std::vector<double> done;
+  auto xfer = [](Network& n, NodeId s, NodeId d, double bytes,
+                 std::vector<double>* out) -> sim::Task<void> {
+    co_await n.transfer(s, d, bytes);
+    out->push_back(n.simulator().now());
+  };
+  for (NodeId i = 0; i < 4; ++i) {
+    for (int k = 0; k < 2; ++k) sim.spawn(xfer(net, i, 4 + i, 50e6, &done));
+  }
+  sim.spawn(xfer(net, 4, 0, 200e6, &done));
+  OracleWork work;
+  auto probe = [](Network& n, OracleWork* w) -> sim::Task<void> {
+    co_await n.simulator().delay(0.25);
+    probe_oracle(n, *w);
+  };
+  sim.spawn(probe(net, &work));
+  sim.run();
+
+  EXPECT_LT(work.max_rel_diff, 1e-9);
+  EXPECT_EQ(work.max_pair_levels, 4u);  // two levels per backend
+  ASSERT_EQ(done.size(), 9u);
+  for (size_t i = 0; i < 8; ++i) EXPECT_NEAR(done[i], 1.0, 1e-9);
+  EXPECT_NEAR(done[8], 2.0, 1e-9);
+}
+
+TEST_F(SolverOracleTest, SeveralDistinctCapsBindInOneRound) {
+  // Four flows 0->4 on one 100 MB/s NIC, capped at 10/20/30 MB/s and
+  // uncapped. Fair share 25 MB/s: the 10 and 20 caps bind in the same
+  // round; then 70/2 = 35 binds the 30 cap; the uncapped flow gets the
+  // remaining 40. Bytes proportional to rates finish everyone at t = 1.
+  sim::Simulator sim;
+  Network net(sim, small_config());
+  if (net.legacy_solver()) GTEST_SKIP() << "BS_LEGACY_SOLVER forces legacy";
+  std::vector<double> done;
+  auto xfer = [](Network& n, double bytes, double cap,
+                 std::vector<double>* out) -> sim::Task<void> {
+    co_await n.transfer(0, 4, bytes, cap);
+    out->push_back(n.simulator().now());
+  };
+  sim.spawn(xfer(net, 10e6, 10e6, &done));
+  sim.spawn(xfer(net, 20e6, 20e6, &done));
+  sim.spawn(xfer(net, 30e6, 30e6, &done));
+  sim.spawn(xfer(net, 40e6, 0, &done));
+  OracleWork work;
+  auto probe = [](Network& n, OracleWork* w) -> sim::Task<void> {
+    co_await n.simulator().delay(0.5);
+    probe_oracle(n, *w);
+  };
+  sim.spawn(probe(net, &work));
+  sim.run();
+
+  EXPECT_LT(work.max_rel_diff, 1e-9);
+  EXPECT_EQ(work.max_pair_levels, 6u);  // three levels per backend
+  ASSERT_EQ(done.size(), 4u);
+  for (double t : done) EXPECT_NEAR(t, 1.0, 1e-9);
+}
+
+TEST_F(SolverOracleTest, RecycledClassSlotsLeaveNoStaleIndexEntries) {
+  // Long-lived flows share node 0's uplink with a chain of short
+  // transfers, each on a new path. A chain transfer's class dies as the
+  // next one arrives, and the instant-end solve frees its slot for the
+  // transfer after, so slots are reused for different paths throughout.
+  sim::Simulator sim;
+  auto cfg = small_config();
+  cfg.per_stream_cap_bps = 30e6;
+  Network net(sim, cfg);
+  if (net.legacy_solver()) GTEST_SKIP() << "BS_LEGACY_SOLVER forces legacy";
+  auto xfer = [](Network& n, NodeId s, NodeId d,
+                 double bytes) -> sim::Task<void> {
+    co_await n.transfer(s, d, bytes);
+  };
+  auto chain = [](Network& n) -> sim::Task<void> {
+    for (uint32_t i = 0; i < 24; ++i) {
+      const NodeId src = static_cast<NodeId>(i % 4);
+      const NodeId dst = static_cast<NodeId>(6 + i % 2);
+      co_await n.transfer(src, dst, 2e6 + 1e5 * i);
+    }
+  };
+  sim.spawn(xfer(net, 0, 4, 60e6));
+  sim.spawn(xfer(net, 0, 5, 45e6));
+  sim.spawn(xfer(net, 1, 4, 50e6));
+  sim.spawn(chain(net));
+  OracleWork work;
+  bool consistent = true;
+  auto probe = [](Network& n, OracleWork* w,
+                  bool* ok) -> sim::Task<void> {
+    for (int k = 0; k < 200; ++k) {
+      co_await n.simulator().delay(0.0113);
+      if (n.active_flows() == 0) break;
+      probe_oracle(n, *w);
+      *ok = *ok && n.link_index_consistent();
+    }
+  };
+  sim.spawn(probe(net, &work, &consistent));
+  sim.run();
+
+  EXPECT_LT(work.max_rel_diff, 1e-9);
+  EXPECT_TRUE(consistent);
+  EXPECT_TRUE(net.link_index_consistent());
+  EXPECT_EQ(net.active_flows(), 0u);
+  // No chain path repeats a live one: every transfer made a class.
+  EXPECT_EQ(net.solver_stats().path_classes_created, 27u);
+}
+
 TEST(Network, BackendsAgreeOnCompletionTimesAndBytes) {
   // The same randomized workload through both solver backends must produce
   // the same physics: equal bytes moved and completion times within float
