@@ -8,6 +8,10 @@
 //   (c) HDFS: unsupported (append returns failure) — reported as such.
 // The claim to validate: (a) scales like (b) — sharing one file costs
 // almost nothing because only version assignment is centralized.
+//
+// Gate: exits nonzero unless HDFS refuses append() and shared/distinct is
+// at least kMinSharedOverDistinct at every client count (the paper's "same
+// throughput" claim, with a 10% tolerance).
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -19,6 +23,7 @@ using namespace bs::bench;
 namespace {
 
 constexpr uint64_t kBytesPerClient = 1 * kGiB;
+constexpr double kMinSharedOverDistinct = 0.9;
 
 }  // namespace
 
@@ -28,6 +33,7 @@ int main(int argc, char** argv) {
   report.say("claim: appending N clients to one file sustains the same\n");
   report.say("throughput as N clients writing N distinct files\n\n");
 
+  int failures = 0;
   // HDFS check: append is unsupported (paper §II.C).
   {
     HdfsWorld hdfs_world;
@@ -42,11 +48,14 @@ int main(int argc, char** argv) {
     hdfs_world.sim.run();
     report.say("HDFS: append() -> %s\n\n",
                refused ? "REFUSED (write-once semantics)" : "accepted!?");
+    if (!refused) {
+      std::fprintf(stderr, "GATE FAIL: HDFS accepted append()\n");
+      ++failures;
+    }
   }
 
   Table table({"clients", "shared-file append MB/s per client",
                "distinct-files write MB/s per client", "shared/distinct"});
-  uint32_t round = 0;
   for (uint32_t n : client_sweep()) {
     // (a) shared file.
     BsfsWorld shared_world;
@@ -100,9 +109,17 @@ int main(int argc, char** argv) {
     report.metric(k + "/distinct_write_mbps_per_client",
                   distinct_res.per_client_mbps.mean());
     report.metric(k + "/shared_over_distinct", ratio);
-    ++round;
+    if (!(ratio >= kMinSharedOverDistinct)) {
+      std::fprintf(stderr,
+                   "GATE FAIL: %u clients: shared/distinct %.3f is below "
+                   "%.2f\n",
+                   n, ratio, kMinSharedOverDistinct);
+      ++failures;
+    }
   }
-  (void)round;
   report.table(table);
-  return 0;
+  report.say("\ngate (HDFS refuses append, shared/distinct >= %.2f at every "
+             "N): %s\n",
+             kMinSharedOverDistinct, failures == 0 ? "PASSED" : "FAILED");
+  return failures == 0 ? 0 : 1;
 }

@@ -3,7 +3,8 @@
 // Implements the full BlobSeer protocol from the client side:
 //
 //   write/append:
-//     1. assign_write at the version manager → version v + write history
+//     1. assign_write at the version manager → version v + a shared view
+//        of the write history of versions < v (no copy)
 //     2. allocate providers at the provider manager
 //     3. store pages on providers (parallel, bounded)
 //     4. build v's segment-tree nodes and store them in the DHT (parallel)

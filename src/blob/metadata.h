@@ -28,6 +28,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,19 +68,22 @@ bool node_exists(const PageRange& node, const PageRange& write_range,
                  uint64_t cap_pages, uint64_t cap_before);
 
 // Latest version < `before` whose tree contains node S, per the existence
-// rule, searching the history (records for versions 1..before-1, ascending).
-// Returns kNoVersion if no prior version created S.
+// rule, searching `history` (consecutive records from version 1, ascending:
+// a WriteTicket's history() view or a full_history() copy; records at or
+// above `before` are skipped). Returns kNoVersion if no prior version
+// created S.
 Version latest_owner(const PageRange& node,
-                     const std::vector<WriteRecord>& history, Version before);
+                     std::span<const WriteRecord> history, Version before);
 
 // All canonical nodes version v must create for a write of `write_range`
-// into a tree of capacity `cap_pages` (history = records of versions < v;
-// the pre-write capacity is taken from its last entry): leaves first, then
-// inner levels bottom-up, each inner node with resolved child pointers.
-// Leaf provider/length fields are left empty for the caller to fill.
+// into a tree of capacity `cap_pages` (history = records of versions < v,
+// typically the writer's ticket.history(); the pre-write capacity is taken
+// from its last entry): leaves first, then inner levels bottom-up, each
+// inner node with resolved child pointers. Leaf provider/length fields are
+// left empty for the caller to fill.
 std::vector<MetaNode> build_write_nodes(const PageRange& write_range,
                                         uint64_t cap_pages, Version v,
-                                        const std::vector<WriteRecord>& history);
+                                        std::span<const WriteRecord> history);
 
 // The children of an inner node.
 inline PageRange left_child(const PageRange& r) {

@@ -14,10 +14,19 @@ ProviderManager::ProviderManager(sim::Simulator& sim, net::Network& net,
     : sim_(sim), net_(net), cfg_(cfg), queue_(sim, cfg.service_time_s),
       providers_(std::move(provider_nodes)), rng_(cfg.seed) {
   BS_CHECK_MSG(!providers_.empty(), "need at least one provider");
-  for (size_t i = 0; i < providers_.size(); ++i) {
-    load_[providers_[i]] = 0;
-    index_of_[providers_[i]] = i;
+  const net::NodeId max_id =
+      *std::max_element(providers_.begin(), providers_.end());
+  load_.assign(size_t{max_id} + 1, 0);
+  is_provider_.assign(size_t{max_id} + 1, 0);
+  for (net::NodeId n : providers_) {
+    BS_CHECK_MSG(!is_provider_[n], "duplicate provider node");
+    is_provider_[n] = 1;
   }
+}
+
+uint64_t ProviderManager::load_of(net::NodeId n) const {
+  BS_CHECK_MSG(is_provider(n), "not a provider node");
+  return load_[n];
 }
 
 std::vector<std::pair<net::NodeId, uint64_t>> ProviderManager::load_sorted()
@@ -25,8 +34,8 @@ std::vector<std::pair<net::NodeId, uint64_t>> ProviderManager::load_sorted()
   std::vector<std::pair<net::NodeId, uint64_t>> out;
   out.reserve(providers_.size());
   // providers_ is the construction order; sorting by node id decouples the
-  // report from both insertion history and hash buckets.
-  for (const auto& [node, bytes] : load_) out.emplace_back(node, bytes);
+  // report from it.
+  for (net::NodeId n : providers_) out.emplace_back(n, load_[n]);
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -58,7 +67,7 @@ net::NodeId ProviderManager::pick_one(net::NodeId client,
 
   switch (cfg_.policy) {
     case PlacementPolicy::kLocalFirst: {
-      if (exclude.empty() && index_of_.count(client) > 0) return client;
+      if (exclude.empty() && is_provider(client)) return client;
       // Fall through to random choice for non-first replicas.
       [[fallthrough]];
     }

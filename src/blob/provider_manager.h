@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "blob/types.h"
-#include "common/container.h"
 #include "common/rng.h"
 #include "net/liveness.h"
 #include "net/network.h"
@@ -70,19 +69,19 @@ class ProviderManager {
   // nodes stop receiving new pages once detected. Null = everything is up.
   void set_liveness(const net::LivenessView* view) { liveness_ = view; }
 
-  // Allocated bytes per provider (the PM's own load view). Keyed lookups
-  // only — iteration order is hash-scrambled; use load_sorted() wherever
-  // the traversal order can reach output.
-  const bs::unordered_map<net::NodeId, uint64_t>& load() const {
-    return load_;
-  }
-  // Same data ordered by node id, for reports and balance sweeps.
+  // Allocated bytes on provider `n` (the PM's own load view).
+  uint64_t load_of(net::NodeId n) const;
+  // Allocated bytes per provider ordered by node id, for reports and
+  // balance sweeps.
   std::vector<std::pair<net::NodeId, uint64_t>> load_sorted() const;
   uint64_t total_requests() const { return requests_; }
 
  private:
   bool node_dead(net::NodeId n) const {
     return liveness_ != nullptr && !liveness_->is_up(n);
+  }
+  bool is_provider(net::NodeId n) const {
+    return n < is_provider_.size() && is_provider_[n] != 0;
   }
   // Providers not in `exclude` and not detected dead.
   size_t eligible_count(const std::vector<net::NodeId>& exclude) const;
@@ -95,8 +94,10 @@ class ProviderManager {
   ProviderManagerConfig cfg_;
   net::ServiceQueue queue_;
   std::vector<net::NodeId> providers_;
-  bs::unordered_map<net::NodeId, uint64_t> load_;
-  bs::unordered_map<net::NodeId, size_t> index_of_;
+  // Indexed by node id (ids are dense cluster indices), so the placement
+  // scan reads loads without hashing.
+  std::vector<uint64_t> load_;
+  std::vector<char> is_provider_;
   const net::LivenessView* liveness_ = nullptr;
   Rng rng_;
   size_t rr_cursor_ = 0;

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -64,14 +66,27 @@ struct VersionInfo {
 
 // Everything a writer needs to perform an assigned write: its version, the
 // resolved byte offset (appends are resolved against the latest assigned
-// size), and the full history of versions 1..version-1.
+// size), and read access to the records of versions 1..version-1.
+//
+// Those records are not copied: the ticket shares the version manager's
+// append-only log of the blob and reads only its own prefix. Records below
+// `version` never change once the ticket is issued (the log only grows,
+// and versions are assigned consecutively from 1), so the prefix is
+// exactly the history as it stood at assignment.
 struct WriteTicket {
   BlobId blob = 0;
   Version version = kNoVersion;
   uint64_t offset = 0;      // bytes, page-aligned
   uint64_t size_after = 0;  // bytes
   uint64_t cap_pages = 0;   // tree capacity for this version
-  std::vector<WriteRecord> history;  // records for versions < version
+  std::shared_ptr<const std::vector<WriteRecord>> log;  // the blob's log
+
+  // Records for versions < version, ascending. A later assign may grow
+  // (and reallocate) the shared log, so take the span right before use
+  // and never hold it across a co_await.
+  std::span<const WriteRecord> history() const {
+    return {log->data(), version - 1};
+  }
 };
 
 // Identifies one stored page replica: which version wrote page `index` of

@@ -147,7 +147,10 @@ sim::Task<WriteTicket> VersionManager::assign_write(net::NodeId client,
   t.version = b.next_version++;
   t.offset = offset;
   t.size_after = std::max(b.assigned_size, offset + size);
-  t.history = b.history;  // records of all versions < t.version
+  // Versions are consecutive from 1, so the log holds exactly the records
+  // of versions < t.version: the ticket shares it instead of copying.
+  BS_CHECK(b.history->size() == t.version - 1);
+  t.log = b.history;
 
   const uint64_t first_page = offset / page;
   const uint64_t end_page = pages_for_bytes(offset + size, page);
@@ -159,7 +162,7 @@ sim::Task<WriteTicket> VersionManager::assign_write(net::NodeId client,
   rec.range = PageRange{first_page, end_page - first_page};
   rec.size_after = t.size_after;
   rec.cap_after = t.cap_pages;
-  b.history.push_back(rec);
+  b.history->push_back(rec);
   b.assigned_size = t.size_after;
   b.assigned_at[t.version] = sim_.now();
 
@@ -220,7 +223,7 @@ VersionInfo VersionManager::info_at(const BlobState& b, Version v) const {
     info.cap_pages = 0;
     return info;
   }
-  const WriteRecord& rec = b.history[v - 1];
+  const WriteRecord& rec = (*b.history)[v - 1];
   BS_CHECK(rec.version == v);
   info.size = rec.size_after;
   info.cap_pages = rec.cap_after;
@@ -265,7 +268,7 @@ sim::Task<std::vector<WriteRecord>> VersionManager::full_history(
   ++s.requests;
   s.m_requests->inc();
   m_requests_->inc();
-  std::vector<WriteRecord> history = state_of(blob).history;
+  std::vector<WriteRecord> history = *state_of(blob).history;
   co_await net_.control(s.node, client);
   co_return history;
 }

@@ -112,7 +112,11 @@ class VersionManager {
  private:
   struct BlobState {
     BlobDescriptor desc;
-    std::vector<WriteRecord> history;  // ascending by version, 1-based
+    // Ascending by version, 1-based, append-only: records are never
+    // modified or erased (prune and GC only move watermarks), so write
+    // tickets share this log and read their prefix instead of copying it.
+    std::shared_ptr<std::vector<WriteRecord>> history =
+        std::make_shared<std::vector<WriteRecord>>();
     Version next_version = 1;          // next to assign
     Version published = kNoVersion;    // highest published
     Version pruned_below = 1;          // versions < this were GC'ed

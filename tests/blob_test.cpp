@@ -380,7 +380,7 @@ TEST(BlobCore, LocalFirstPolicyPrefersClientNode) {
   };
   w.sim.spawn(proc(*client));
   w.sim.run();
-  EXPECT_EQ(w.cluster.provider_manager().load().at(5), kPage * 8);
+  EXPECT_EQ(w.cluster.provider_manager().load_of(5), kPage * 8);
 }
 
 TEST(BlobCore, VersionsPublishInOrderEvenIfCommitsArriveOutOfOrder) {

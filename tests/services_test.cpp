@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "blob/cluster.h"
+#include "blob/metadata.h"
 #include "blob/provider.h"
 #include "blob/version_manager.h"
 #include "bsfs/namespace.h"
@@ -45,11 +46,11 @@ TEST(VersionManager, AssignsDenseVersionsAndTracksHistory) {
   sim.run();
   ASSERT_EQ(tickets.size(), 3u);
   EXPECT_EQ(tickets[0].version, 1u);
-  EXPECT_EQ(tickets[0].history.size(), 0u);
+  EXPECT_EQ(tickets[0].history().size(), 0u);
   EXPECT_EQ(tickets[0].size_after, 300u);
   EXPECT_EQ(tickets[0].cap_pages, 4u);  // 3 pages -> cap 4
   EXPECT_EQ(tickets[1].version, 2u);
-  EXPECT_EQ(tickets[1].history.size(), 1u);
+  EXPECT_EQ(tickets[1].history().size(), 1u);
   EXPECT_EQ(tickets[1].size_after, 300u);  // overwrite keeps the size
   // Append resolves against the latest assigned size (300, page-aligned)
   // and may leave a short final page as the new end of the blob.
@@ -57,7 +58,80 @@ TEST(VersionManager, AssignsDenseVersionsAndTracksHistory) {
   EXPECT_EQ(tickets[2].offset, 300u);
   EXPECT_EQ(tickets[2].size_after, 550u);
   EXPECT_EQ(tickets[2].cap_pages, 8u);  // 6 pages -> cap 8
-  EXPECT_EQ(tickets[2].history.size(), 2u);
+  EXPECT_EQ(tickets[2].history().size(), 2u);
+}
+
+// Tickets share the version manager's append-only log instead of copying
+// it. Held tickets must keep seeing exactly their own prefix after later
+// assigns have grown (and reallocated) the shared vector.
+TEST(VersionManager, TicketsShareTheLogAndSeeOnlyTheirPrefix) {
+  sim::Simulator sim;
+  net::Network net(sim, tiny_net());
+  blob::VersionManager vm(sim, net, {});
+  constexpr int kMoreAppends = 1000;
+  std::vector<blob::WriteTicket> held;
+  size_t capacity_when_held = 0;
+  std::vector<blob::WriteRecord> full;
+  auto proc = [](blob::VersionManager& v, std::vector<blob::WriteTicket>* out,
+                 size_t* capacity,
+                 std::vector<blob::WriteRecord>* history) -> sim::Task<void> {
+    auto desc = co_await v.create_blob(1, 100, 1);
+    out->push_back(co_await v.assign_write(1, desc.id, 0, 300));
+    out->push_back(co_await v.assign_write(2, desc.id, 100, 100));
+    out->push_back(co_await v.assign_write(
+        3, desc.id, blob::VersionManager::kAppendOffset, 500));
+    *capacity = out->back().log->capacity();
+    for (int i = 0; i < kMoreAppends; ++i) {
+      (void)co_await v.assign_write(4, desc.id,
+                                    blob::VersionManager::kAppendOffset, 200);
+    }
+    *history = co_await v.full_history(1, desc.id);
+  };
+  sim.spawn(proc(vm, &held, &capacity_when_held, &full));
+  sim.run();
+  ASSERT_EQ(held.size(), 3u);
+  ASSERT_EQ(full.size(), 3u + kMoreAppends);
+  // The log outgrew the capacity it had when the tickets were issued, so
+  // it was reallocated under them.
+  EXPECT_LT(capacity_when_held, full.size());
+
+  for (const blob::WriteTicket& t : held) {
+    // One log per blob, shared by every ticket (no per-ticket copy).
+    EXPECT_EQ(t.log.get(), held[0].log.get());
+    const std::span<const blob::WriteRecord> view = t.history();
+    ASSERT_EQ(view.size(), t.version - 1);
+    for (size_t i = 0; i < view.size(); ++i) {
+      EXPECT_EQ(view[i].version, full[i].version);
+      EXPECT_EQ(view[i].range, full[i].range);
+      EXPECT_EQ(view[i].size_after, full[i].size_after);
+      EXPECT_EQ(view[i].cap_after, full[i].cap_after);
+    }
+    // The metadata a writer builds from its view equals the build over a
+    // copied prefix (the old per-ticket history).
+    const std::vector<blob::WriteRecord> prefix(
+        full.begin(), full.begin() + (t.version - 1));
+    const blob::WriteRecord& mine = full[t.version - 1];
+    const auto from_view =
+        blob::build_write_nodes(mine.range, t.cap_pages, t.version, view);
+    const auto from_copy =
+        blob::build_write_nodes(mine.range, t.cap_pages, t.version, prefix);
+    ASSERT_EQ(from_view.size(), from_copy.size());
+    for (size_t i = 0; i < from_view.size(); ++i) {
+      EXPECT_EQ(from_view[i].range, from_copy[i].range);
+      EXPECT_EQ(from_view[i].version, from_copy[i].version);
+      EXPECT_EQ(from_view[i].left, from_copy[i].left);
+      EXPECT_EQ(from_view[i].right, from_copy[i].right);
+    }
+  }
+  // Version 3 (an append at page 3 past a 3-page blob) references the
+  // subtrees versions 1 and 2 created, so the comparison above is not
+  // vacuous.
+  bool references_older = false;
+  for (const blob::MetaNode& n : blob::build_write_nodes(
+           full[2].range, held[2].cap_pages, 3, held[2].history())) {
+    if (!n.is_leaf() && (n.left == 1 || n.left == 2)) references_older = true;
+  }
+  EXPECT_TRUE(references_older);
 }
 
 TEST(VersionManager, PublicationRequiresCommitPrefix) {
