@@ -9,6 +9,11 @@
 //   * both jobs read consistent snapshots while sharing pages they have in
 //     common (no copy of the dataset was made);
 //   * running them concurrently costs far less than running them serially.
+//
+// Gate: exits nonzero unless the concurrent span beats the serial total
+// (speedup > 1) and each concurrent job pinned the same snapshot version
+// and read the same input, map count and output as its serial twin, with
+// the two snapshots distinct and each the full dataset.
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -33,6 +38,13 @@ mr::JobConfig grep_job(mr::MapReduceApp* app, const std::string& input,
   jc.cost_model = true;
   jc.record_read_size = kMiB;
   return jc;
+}
+
+// Whether two runs over the same versioned path read the same snapshot.
+bool same_snapshot(const mr::JobStats& a, const mr::JobStats& b) {
+  return a.input_snapshot_versions == b.input_snapshot_versions &&
+         a.input_bytes == b.input_bytes && a.maps == b.maps &&
+         a.output_bytes == b.output_bytes;
 }
 
 sim::Task<void> run_one(mr::MapReduceCluster* mr, mr::JobConfig jc,
@@ -104,11 +116,35 @@ int main(int argc, char** argv) {
                  std::to_string(conc_v2.maps),
                  format_bytes(static_cast<double>(conc_v2.input_bytes))});
   report.table(table);
+  const double speedup = serial_span / concurrent_span;
+  const bool consistent =
+      same_snapshot(serial_v1, conc_v1) && same_snapshot(serial_v2, conc_v2) &&
+      conc_v1.input_snapshot_versions != conc_v2.input_snapshot_versions &&
+      conc_v1.input_bytes == kDatasetBytes &&
+      conc_v2.input_bytes == kDatasetBytes;
   report.say("\nserial total: %.1f s, concurrent span: %.1f s "
-             "(speedup %.2fx; both snapshots stayed consistent)\n",
-             serial_span, concurrent_span, serial_span / concurrent_span);
+             "(speedup %.2fx; %s)\n",
+             serial_span, concurrent_span, speedup,
+             consistent ? "both snapshots stayed consistent"
+                        : "snapshots INCONSISTENT");
   report.metric("serial_total_s", serial_span);
   report.metric("concurrent_span_s", concurrent_span);
-  report.metric("speedup", serial_span / concurrent_span);
-  return 0;
+  report.metric("speedup", speedup);
+  int failures = 0;
+  if (!(speedup > 1)) {
+    std::fprintf(stderr,
+                 "GATE FAIL: concurrent span %.1f s is not below the serial "
+                 "total %.1f s\n",
+                 concurrent_span, serial_span);
+    ++failures;
+  }
+  if (!consistent) {
+    std::fprintf(stderr,
+                 "GATE FAIL: a concurrent job did not read the snapshot its "
+                 "serial twin read\n");
+    ++failures;
+  }
+  report.say("gate (concurrent speedup > 1, snapshots consistent): %s\n",
+             failures == 0 ? "PASSED" : "FAILED");
+  return failures == 0 ? 0 : 1;
 }

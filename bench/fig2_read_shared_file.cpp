@@ -6,6 +6,9 @@
 // the data-path effects of F1, this scenario stresses the metadata path:
 // every HDFS reader resolves each block at the centralized NameNode, while
 // BSFS readers walk the distributed segment tree across the metadata DHT.
+//
+// Gate: exits nonzero unless BSFS's aggregate throughput is above HDFS's at
+// every client count (the paper's claim, not a tuned threshold).
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -54,6 +57,7 @@ int main(int argc, char** argv) {
 
   Table table({"clients", "BSFS MB/s per client", "HDFS MB/s per client",
                "BSFS aggregate MB/s", "HDFS aggregate MB/s"});
+  int failures = 0;
   for (uint32_t n : client_sweep()) {
     auto bsfs_res = run_reads(bsfs_world.sim, *bsfs_world.fs,
                               make_tasks(bsfs_world.options.cluster, n));
@@ -69,6 +73,13 @@ int main(int argc, char** argv) {
     report.metric(k + "/hdfs_mbps_per_client", hdfs_res.per_client_mbps.mean());
     report.metric(k + "/bsfs_aggregate_mbps", bsfs_res.aggregate_mbps);
     report.metric(k + "/hdfs_aggregate_mbps", hdfs_res.aggregate_mbps);
+    if (!(bsfs_res.aggregate_mbps > hdfs_res.aggregate_mbps)) {
+      std::fprintf(stderr,
+                   "GATE FAIL: %u clients: BSFS aggregate %.1f MB/s is not "
+                   "above HDFS %.1f MB/s\n",
+                   n, bsfs_res.aggregate_mbps, hdfs_res.aggregate_mbps);
+      ++failures;
+    }
   }
   report.table(table);
   report.say("\nmetadata load: BSFS DHT gets=%llu (spread over %zu nodes), "
@@ -81,5 +92,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(bsfs_world.blobs->metadata_dht().gets()));
   report.metric("hdfs_namenode_requests",
                 static_cast<double>(hdfs_world.fs->namenode().total_requests()));
-  return 0;
+  report.say("\ngate (BSFS aggregate above HDFS at every N): %s\n",
+             failures == 0 ? "PASSED" : "FAILED");
+  return failures == 0 ? 0 : 1;
 }

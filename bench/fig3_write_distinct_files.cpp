@@ -8,6 +8,9 @@
 // while BlobSeer's provider manager load-balances pages across providers so
 // BSFS writes are striped, network-bound, and absorbed by provider RAM
 // (write-behind BerkeleyDB persistence).
+//
+// Gate: exits nonzero unless BSFS's aggregate throughput is above HDFS's at
+// every client count (the paper's claim, not a tuned threshold).
 #include <cstdio>
 
 #include "bench/harness.h"
@@ -47,6 +50,7 @@ int main(int argc, char** argv) {
 
   Table table({"clients", "BSFS MB/s per client", "HDFS MB/s per client",
                "BSFS aggregate MB/s", "HDFS aggregate MB/s"});
+  int failures = 0;
   uint32_t round = 0;
   for (uint32_t n : client_sweep()) {
     auto bsfs_res = run_writes(bsfs_world.sim, *bsfs_world.fs,
@@ -67,8 +71,17 @@ int main(int argc, char** argv) {
     report.metric(k + "/hdfs_mbps_per_client", hdfs_res.per_client_mbps.mean());
     report.metric(k + "/bsfs_aggregate_mbps", bsfs_res.aggregate_mbps);
     report.metric(k + "/hdfs_aggregate_mbps", hdfs_res.aggregate_mbps);
+    if (!(bsfs_res.aggregate_mbps > hdfs_res.aggregate_mbps)) {
+      std::fprintf(stderr,
+                   "GATE FAIL: %u clients: BSFS aggregate %.1f MB/s is not "
+                   "above HDFS %.1f MB/s\n",
+                   n, bsfs_res.aggregate_mbps, hdfs_res.aggregate_mbps);
+      ++failures;
+    }
     ++round;
   }
   report.table(table);
-  return 0;
+  report.say("\ngate (BSFS aggregate above HDFS at every N): %s\n",
+             failures == 0 ? "PASSED" : "FAILED");
+  return failures == 0 ? 0 : 1;
 }

@@ -23,6 +23,15 @@ constexpr double kRemainingEps = 0.5;
 // scratch_rank_ entry of a class the running solve has already frozen.
 constexpr uint32_t kFrozen = ~uint32_t{0};
 
+// PathClass::level of a class no logged level froze.
+constexpr uint32_t kNoLevel = ~uint32_t{0};
+
+// Relative distance above a level's minimum share within which a link is
+// "near" it: the scan watches such links, and a warm start stops at a
+// level with a changed link this close. The bottleneck test's 1e-12 slack
+// cannot pass a link further away (see solve_classes()).
+constexpr double kNearBand = 1e-9;
+
 std::string xfer_args(NodeId src, NodeId dst, double bytes) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "\"src\":%u,\"dst\":%u,\"bytes\":%.0f", src,
@@ -64,6 +73,10 @@ Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
   const size_t links = 2 * n + 2 * r;
   link_capacity_.assign(links, 0);
   link_classes_.resize(links);
+  link_members_.assign(links, 0);
+  link_listed_.assign(links, 0);
+  logged_members_.assign(links, 0);
+  link_changed_.assign(links, 0);
   scratch_remaining_.assign(links, 0);
   scratch_count_.assign(links, 0);
   scratch_watch_.assign(links, 0);
@@ -102,6 +115,9 @@ Network::Network(sim::Simulator& sim, const ClusterConfig& cfg)
   m_levels_ = &m.counter("net/solver_levels");
   m_link_visits_ = &m.counter("net/solver_link_visits");
   m_class_visits_ = &m.counter("net/solver_class_visits");
+  m_replayed_levels_ = &m.counter("net/solver_replayed_levels");
+  m_replayed_freezes_ = &m.counter("net/solver_replayed_freezes");
+  m_flow_advances_ = &m.counter("net/flow_advances");
   m_transfer_s_ = &m.histogram("net/transfer_s");
   obs::Counter* disk_rd = &m.counter("net/disk_read_bytes");
   obs::Counter* disk_wr = &m.counter("net/disk_write_bytes");
@@ -133,6 +149,7 @@ void Network::set_node_perf(NodeId node, NodePerf perf) {
   link_capacity_[link_node_up(node)] = cfg_.nic_bps * perf.nic;
   link_capacity_[link_node_down(node)] = cfg_.nic_bps * perf.nic;
   disks_[node]->set_scale(perf.disk);
+  drop_log();  // the logged shares were computed at the old capacities
   after_change();
 }
 
@@ -233,7 +250,10 @@ uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {
   const auto key = std::make_tuple(src, dst, cap);
   auto it = class_index_.find(key);
   if (it != class_index_.end()) {
-    ++classes_[it->second].n;
+    PathClass& c = classes_[it->second];
+    note_change(it->second);
+    ++c.n;
+    count_member(c, /*arrival=*/true);
     return it->second;
   }
   uint32_t ci;
@@ -262,6 +282,9 @@ uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {
     c.link_pos[k] = static_cast<uint32_t>(on_link.size());
     on_link.push_back(ci);
   }
+  c.level = kNoLevel;
+  note_change(ci);
+  count_member(c, /*arrival=*/true);
   // Appending keeps the active list in creation order (the solver's
   // deterministic order).
   active_classes_.push_back(ci);
@@ -273,11 +296,56 @@ uint32_t Network::class_for(NodeId src, NodeId dst, double cap) {
 void Network::release_member(uint32_t cls) {
   PathClass& c = classes_[cls];
   BS_DCHECK(c.n > 0);
+  note_change(cls);
+  count_member(c, /*arrival=*/false);
   if (--c.n == 0) {
     class_index_.erase(std::make_tuple(c.src, c.dst, c.cap));
     // The dead slot stays in active_classes_ until the next solve's
     // compaction sweep recycles it.
   }
+}
+
+void Network::count_member(const PathClass& c, bool arrival) {
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    const uint32_t l = c.path[k];
+    if (!arrival) {
+      --link_members_[l];
+      continue;
+    }
+    ++link_members_[l];
+    if (!link_listed_[l]) {
+      link_listed_[l] = 1;
+      live_links_.push_back(l);
+    }
+  }
+}
+
+void Network::note_change(uint32_t ci) {
+  PathClass& c = classes_[ci];
+  if (!log_valid_ || c.changed) return;
+  c.changed = true;
+  changed_slots_.push_back(ci);
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    const uint32_t l = c.path[k];
+    if (link_changed_[l]) continue;
+    link_changed_[l] = 1;
+    logged_members_[l] = link_members_[l];
+    changed_links_.push_back(l);
+  }
+}
+
+void Network::clear_changes() {
+  for (uint32_t ci : changed_slots_) classes_[ci].changed = false;
+  for (uint32_t l : changed_links_) link_changed_[l] = 0;
+  changed_slots_.clear();
+  changed_links_.clear();
+}
+
+void Network::drop_log() {
+  log_valid_ = false;
+  level_log_.clear();
+  freeze_log_.clear();
+  clear_changes();
 }
 
 void Network::add_flow(NodeId src, NodeId dst, double bytes, double cap,
@@ -289,16 +357,10 @@ void Network::add_flow(NodeId src, NodeId dst, double bytes, double cap,
                           : cfg_.per_stream_cap_bps;
   }
   Flow f;
-  f.id = next_flow_id_++;
   f.cls = class_for(src, dst, eff_cap);
   f.remaining = bytes;
   f.done = done;
-  f.src = src;
-  f.dst = dst;
-  auto [it, inserted] = flows_.emplace(f.id, f);
-  BS_CHECK(inserted);
-  // Ids are monotonically increasing, so push_back keeps the order sorted.
-  flow_order_.push_back(&it->second);
+  flows_.push_back(f);
   ++flows_started_;
   after_change();
 }
@@ -312,21 +374,25 @@ bool Network::advance() {
   // backend keeps the historical full sweep so its event schedule is
   // exactly the pre-optimization one, sub-half-byte corner cases included.)
   if (dt <= 0 && !legacy_) return false;
+  m_flow_advances_->inc(static_cast<double>(flows_.size()));
   bool any_finished = false;
-  for (Flow* f : flow_order_) {
-    f->remaining -= f->rate * dt;
-    if (f->remaining <= kRemainingEps) any_finished = true;
+  for (Flow& f : flows_) {
+    f.remaining -= f.rate * dt;
+    if (f.remaining <= kRemainingEps) any_finished = true;
   }
   if (!any_finished) return false;
-  auto it = std::remove_if(flow_order_.begin(), flow_order_.end(),
-                           [this](Flow* f) {
-                             if (f->remaining > kRemainingEps) return false;
-                             f->done->set();
-                             release_member(f->cls);
-                             flows_.erase(f->id);
-                             return true;
-                           });
-  flow_order_.erase(it, flow_order_.end());
+  // Finished flows are signalled and released in arrival order; the rest
+  // keep their order.
+  size_t kept = 0;
+  for (Flow& f : flows_) {
+    if (f.remaining <= kRemainingEps) {
+      f.done->set();
+      release_member(f.cls);
+      continue;
+    }
+    flows_[kept++] = f;
+  }
+  flows_.resize(kept);
   return true;
 }
 
@@ -364,6 +430,7 @@ void Network::unlink_class(uint32_t ci) {
 void Network::solve_flows_legacy() {
   ++sstats_.legacy_solves;
   m_solves_->inc();
+  drop_log();  // the log only chains consecutive class solves
   compact_dead_classes();
   if (flows_.empty()) return;
   // Progressive filling over flat scratch arrays (no per-call allocation).
@@ -372,9 +439,9 @@ void Network::solve_flows_legacy() {
   // values the old per-flow fields held, so the arithmetic — and therefore
   // the solved rates — are bit-identical to the historical code).
   scratch_links_.clear();
-  for (Flow* f : flow_order_) {
-    f->rate = -1;  // -1 = unfrozen
-    const PathClass& c = classes_[f->cls];
+  for (Flow& f : flows_) {
+    f.rate = -1;  // -1 = unfrozen
+    const PathClass& c = classes_[f.cls];
     for (uint32_t k = 0; k < c.path_len; ++k) {
       const uint32_t l = c.path[k];
       if (scratch_count_[l] == 0) {
@@ -384,7 +451,7 @@ void Network::solve_flows_legacy() {
       scratch_count_[l] += 1;
     }
   }
-  size_t unfrozen = flow_order_.size();
+  size_t unfrozen = flows_.size();
   uint64_t levels = 0;
   while (unfrozen > 0) {
     ++levels;
@@ -397,15 +464,15 @@ void Network::solve_flows_legacy() {
       if (fair < best_share) best_share = fair;
     }
     bool froze_capped = false;
-    for (Flow* f : flow_order_) {
-      if (f->rate >= 0) continue;
-      const PathClass& c = classes_[f->cls];
+    for (Flow& f : flows_) {
+      if (f.rate >= 0) continue;
+      const PathClass& c = classes_[f.cls];
       if (c.cap > 0 && c.cap <= best_share) {
         // Cap binds before the links do: freeze at the cap.
-        f->rate = c.cap;
+        f.rate = c.cap;
         for (uint32_t k = 0; k < c.path_len; ++k) {
           const uint32_t l = c.path[k];
-          scratch_remaining_[l] -= f->rate;
+          scratch_remaining_[l] -= f.rate;
           scratch_count_[l] -= 1;
         }
         --unfrozen;
@@ -416,9 +483,9 @@ void Network::solve_flows_legacy() {
     // Freeze every unfrozen flow crossing a bottleneck link.
     const double share = best_share;
     const double limit = share * (1 + 1e-12);
-    for (Flow* f : flow_order_) {
-      if (f->rate >= 0) continue;
-      const PathClass& c = classes_[f->cls];
+    for (Flow& f : flows_) {
+      if (f.rate >= 0) continue;
+      const PathClass& c = classes_[f.cls];
       bool bottlenecked = false;
       for (uint32_t k = 0; k < c.path_len; ++k) {
         const uint32_t l = c.path[k];
@@ -428,10 +495,10 @@ void Network::solve_flows_legacy() {
         }
       }
       if (bottlenecked) {
-        f->rate = share;
+        f.rate = share;
         for (uint32_t k = 0; k < c.path_len; ++k) {
           const uint32_t l = c.path[k];
-          scratch_remaining_[l] -= f->rate;
+          scratch_remaining_[l] -= f.rate;
           scratch_count_[l] -= 1;
         }
         --unfrozen;
@@ -440,56 +507,65 @@ void Network::solve_flows_legacy() {
   }
   // Reset counters for the next call (remaining_ is re-seeded lazily).
   for (uint32_t l : scratch_links_) scratch_count_[l] = 0;
-  add_work(levels, 0, 0);
+  add_work(levels, 0, 0, 0, 0);
 }
 
 void Network::solve_classes() {
   ++sstats_.class_solves;
   m_solves_->inc();
   compact_dead_classes();
-  if (flows_.empty()) return;
+  if (flows_.empty()) {
+    drop_log();
+    return;
+  }
   // Work counters, kept local so the loops never touch the registry.
   uint64_t levels = 0, link_visits = 0, class_visits = 0;
-  // Seed link loads: scratch_count_ carries member flows, not classes, so
-  // the fair-share arithmetic matches the per-flow solver's semantics.
+  // Seed link loads from the per-link member counts: scratch_count_ carries
+  // member flows, not classes, so the fair-share arithmetic matches the
+  // per-flow solver's semantics. Links left without members drop off the
+  // live list.
+  scratch_links_.clear();
+  size_t listed = 0;
+  for (uint32_t l : live_links_) {
+    if (link_members_[l] == 0) {
+      link_listed_[l] = 0;
+      continue;
+    }
+    live_links_[listed++] = l;
+    scratch_links_.push_back(l);
+    scratch_count_[l] = link_members_[l];
+    scratch_remaining_[l] = link_capacity_[l];
+  }
+  live_links_.resize(listed);
   // A class's rank is its position in creation order; scratch_rank_ holds
   // it per slot until the class freezes. Capped classes are listed (in rank
   // order) with their smallest cap, so a level only sweeps them when some
   // cap can bind.
-  scratch_links_.clear();
   scratch_capped_.clear();
   if (scratch_rank_.size() < classes_.size()) {
     scratch_rank_.resize(classes_.size());
   }
   double min_cap = std::numeric_limits<double>::infinity();
   for (uint32_t rank = 0; rank < active_classes_.size(); ++rank) {
-    PathClass& c = classes_[active_classes_[rank]];
-    scratch_rank_[active_classes_[rank]] = rank;
-    for (uint32_t k = 0; k < c.path_len; ++k) {
-      const uint32_t l = c.path[k];
-      if (scratch_count_[l] == 0) {
-        scratch_remaining_[l] = link_capacity_[l];
-        scratch_links_.push_back(l);
-      }
-      scratch_count_[l] += c.n;
-    }
-    if (c.cap > 0) {
-      scratch_capped_.push_back(active_classes_[rank]);
-      min_cap = std::min(min_cap, c.cap);
+    const uint32_t ci = active_classes_[rank];
+    scratch_rank_[ci] = rank;
+    if (classes_[ci].cap > 0) {
+      scratch_capped_.push_back(ci);
+      min_cap = std::min(min_cap, classes_[ci].cap);
     }
   }
   class_visits += active_classes_.size();
-  // Freezes slot ci at `rate` and subtracts its members from its links.
+  const uint64_t replayed_freezes = replay_log();
+  const uint64_t replayed_levels = level_log_.size();
+  size_t unfrozen = active_classes_.size() - replayed_freezes;
+  // Freezes slot ci at `rate` and logs it in the level being solved.
   auto freeze = [this](uint32_t ci, double rate) {
-    PathClass& c = classes_[ci];
-    scratch_rank_[ci] = kFrozen;
-    c.rate = rate;
-    const double used = rate * c.n;
-    for (uint32_t k = 0; k < c.path_len; ++k) {
-      const uint32_t l = c.path[k];
-      scratch_remaining_[l] -= used;
-      scratch_count_[l] -= c.n;
-    }
+    freeze_class(ci, rate);
+    classes_[ci].level = static_cast<uint32_t>(level_log_.size());
+    freeze_log_.push_back({ci, rate});
+  };
+  auto end_level = [this](double share) {
+    level_log_.push_back({share, static_cast<uint32_t>(freeze_log_.size())});
   };
   // Bottleneck candidates of a level, as a bitmap over ranks: reading it
   // word by word yields them in rank order without a sort. All words are
@@ -511,13 +587,12 @@ void Network::solve_classes() {
       cand_hi = std::max(cand_hi, w);
     }
   };
-  size_t unfrozen = active_classes_.size();
   while (unfrozen > 0) {
     ++levels;
     ++level_stamp_;
     // Fair-share minimum over the live links; links whose every class is
-    // frozen drop out of the list for the rest of the solve. Links within a
-    // relative 1e-9 of the running minimum are kept aside and watched: the
+    // frozen drop out of the list for the rest of the solve. Links within
+    // kNearBand of the running minimum are kept aside and watched: the
     // bottleneck test's 1e-12 slack cannot pass any other link, so the
     // round reads only them.
     double best_share = std::numeric_limits<double>::infinity();
@@ -530,7 +605,7 @@ void Network::solve_classes() {
       scratch_links_[live++] = l;
       const double fair = scratch_remaining_[l] / cnt;
       if (fair < best_share) best_share = fair;
-      if (fair - best_share <= std::abs(best_share) * 1e-9) {
+      if (fair - best_share <= std::abs(best_share) * kNearBand) {
         scratch_near_.push_back(l);
         scratch_watch_[l] = level_stamp_;
       }
@@ -539,7 +614,7 @@ void Network::solve_classes() {
     if (min_cap <= best_share) {
       // Cap round: every unfrozen class whose cap binds before the links
       // do freezes at its cap, in rank order. The survivors give the next
-      // minimum; classes frozen by earlier bottleneck rounds drop out.
+      // minimum; classes frozen by earlier rounds drop out.
       bool froze_capped = false;
       min_cap = std::numeric_limits<double>::infinity();
       class_visits += scratch_capped_.size();
@@ -557,16 +632,20 @@ void Network::solve_classes() {
         min_cap = std::min(min_cap, c.cap);
       }
       scratch_capped_.resize(kept);
-      if (froze_capped) continue;
+      if (froze_capped) {
+        end_level(best_share);
+        continue;
+      }
     }
     // Bottleneck round. Only classes crossing a link at the bottleneck
     // share can freeze, so candidates come from those links' indexes and
     // are then tested in rank order against the live state, exactly as a
     // sweep over every class would. A freeze can push a watched link that
     // missed the test by round-off into it; that link's later classes are
-    // then marked too. An unwatched link starts at least 1e-9 above the
-    // share, and each freeze moves its test by about 2^-53 relative, so it
-    // would take millions of freezes on one link to cross.
+    // then marked too. An unwatched link starts more than kNearBand above
+    // the share, and each freeze moves its test by about 2^-53 relative,
+    // so it would take millions of freezes on one link to cross. (Hence
+    // the scan order of the links cannot change which classes freeze.)
     const double share = best_share;
     const double limit = share * (1 + 1e-12);
     auto bottleneck = [&](uint32_t l) {
@@ -606,20 +685,89 @@ void Network::solve_classes() {
         }
       }
     }
+    end_level(share);
   }
   for (uint32_t l : scratch_links_) scratch_count_[l] = 0;
-  for (Flow* f : flow_order_) f->rate = classes_[f->cls].rate;
-  add_work(levels, link_visits, class_visits);
+  for (Flow& f : flows_) f.rate = classes_[f.cls].rate;
+  log_valid_ = true;
+  add_work(levels, link_visits, class_visits, replayed_levels,
+           replayed_freezes);
+}
+
+void Network::freeze_class(uint32_t ci, double rate) {
+  PathClass& c = classes_[ci];
+  scratch_rank_[ci] = kFrozen;
+  c.rate = rate;
+  const double used = rate * c.n;
+  for (uint32_t k = 0; k < c.path_len; ++k) {
+    const uint32_t l = c.path[k];
+    scratch_remaining_[l] -= used;
+    scratch_count_[l] -= c.n;
+  }
+}
+
+size_t Network::replay_log() {
+  if (!log_valid_) return 0;
+  // Condition (c) as a bound: replay stops before the first level that
+  // froze a changed slot. New slots froze in no logged level.
+  size_t stop = level_log_.size();
+  double changed_cap = std::numeric_limits<double>::infinity();
+  for (uint32_t ci : changed_slots_) {
+    const PathClass& c = classes_[ci];
+    if (c.level != kNoLevel) stop = std::min<size_t>(stop, c.level);
+    if (c.cap > 0) changed_cap = std::min(changed_cap, c.cap);
+  }
+  // A changed link with no members now had only changed classes, so no
+  // replayed freeze touches it and its logged remaining is its capacity.
+  for (uint32_t l : changed_links_) {
+    if (link_members_[l] == 0) scratch_remaining_[l] = link_capacity_[l];
+  }
+  // Conditions (a) and (b) at a level's start. A changed link's remaining
+  // capacity is the logged solve's at this level (only unchanged classes
+  // froze before it), and its logged member count differs from today's by
+  // the members gained since.
+  auto intact = [&](double share) {
+    if (changed_cap <= share) return false;
+    const double band = share * kNearBand;
+    for (uint32_t l : changed_links_) {
+      const int64_t now = scratch_count_[l];
+      const int64_t then = now + int64_t{logged_members_[l]} -
+                           int64_t{link_members_[l]};
+      for (const int64_t cnt : {now, then}) {
+        if (cnt > 0 && scratch_remaining_[l] / cnt - share <= band) {
+          return false;
+        }
+      }
+    }
+    return true;
+  };
+  size_t replayed = 0;
+  uint32_t freezes = 0;
+  while (replayed < stop && intact(level_log_[replayed].share)) {
+    for (; freezes < level_log_[replayed].end; ++freezes) {
+      freeze_class(freeze_log_[freezes].slot, freeze_log_[freezes].rate);
+    }
+    ++replayed;
+  }
+  level_log_.resize(replayed);
+  freeze_log_.resize(freezes);
+  clear_changes();
+  return freezes;
 }
 
 void Network::add_work(uint64_t levels, uint64_t link_visits,
-                       uint64_t class_visits) {
+                       uint64_t class_visits, uint64_t replayed_levels,
+                       uint64_t replayed_freezes) {
   sstats_.levels += levels;
   sstats_.link_visits += link_visits;
   sstats_.class_visits += class_visits;
+  sstats_.replayed_levels += replayed_levels;
+  sstats_.replayed_freezes += replayed_freezes;
   m_levels_->inc(static_cast<double>(levels));
   m_link_visits_->inc(static_cast<double>(link_visits));
   m_class_visits_->inc(static_cast<double>(class_visits));
+  m_replayed_levels_->inc(static_cast<double>(replayed_levels));
+  m_replayed_freezes_->inc(static_cast<double>(replayed_freezes));
 }
 
 void Network::mark_rates_dirty() {
@@ -654,8 +802,8 @@ void Network::retime() {
     return;
   }
   double next = std::numeric_limits<double>::infinity();
-  for (const Flow* f : flow_order_) {
-    if (f->rate > 0) next = std::min(next, f->remaining / f->rate);
+  for (const Flow& f : flows_) {
+    if (f.rate > 0) next = std::min(next, f.remaining / f.rate);
   }
   BS_CHECK_MSG(next < std::numeric_limits<double>::infinity(),
                "active flows but no positive rates");
@@ -728,20 +876,35 @@ bool Network::link_index_consistent() const {
   return entries == expected;
 }
 
+bool Network::cold_resolve_matches() {
+  std::vector<double> rates;
+  rates.reserve(active_classes_.size());
+  for (uint32_t ci : active_classes_) rates.push_back(classes_[ci].rate);
+  const std::vector<LoggedLevel> levels = level_log_;
+  const std::vector<LoggedFreeze> freezes = freeze_log_;
+  drop_log();
+  solve_classes();
+  if (active_classes_.size() != rates.size()) return false;
+  for (size_t i = 0; i < active_classes_.size(); ++i) {
+    if (classes_[active_classes_[i]].rate != rates[i]) return false;
+  }
+  return level_log_ == levels && freeze_log_ == freezes;
+}
+
 double Network::solver_oracle_max_rel_diff() {
   if (flows_.empty()) return 0;
   // Both solvers are pure functions of the current flow set and capacities,
   // so running them back to back and finishing with the active backend
   // leaves rates bit-identical to the pre-call state.
   std::vector<double> legacy_rates;
-  legacy_rates.reserve(flow_order_.size());
+  legacy_rates.reserve(flows_.size());
   solve_flows_legacy();
-  for (const Flow* f : flow_order_) legacy_rates.push_back(f->rate);
+  for (const Flow& f : flows_) legacy_rates.push_back(f.rate);
   solve_classes();
   double max_rel = 0;
-  for (size_t i = 0; i < flow_order_.size(); ++i) {
+  for (size_t i = 0; i < flows_.size(); ++i) {
     const double a = legacy_rates[i];
-    const double b = flow_order_[i]->rate;
+    const double b = flows_[i].rate;
     const double denom = std::max(std::abs(a), 1.0);
     max_rel = std::max(max_rel, std::abs(a - b) / denom);
   }

@@ -15,8 +15,9 @@
 //    thousands of identical src→rack→dst streams collapse into a handful
 //    of classes. Progressive filling runs over classes weighted by member
 //    count, not over individual flows.
-//  - Bottleneck-local levels: a solve seeds link loads once, O(C·p) for C
-//    classes of path length p ≤ 4; each level then costs O(live links +
+//  - Bottleneck-local levels: a solve seeds link loads from per-link member
+//    counts kept by class arrivals and departures, O(live links + C) for C
+//    classes; each level then costs O(live links +
 //    classes on that level's bottleneck links). Links with no unfrozen
 //    class drop out of the scan, only links near the minimum share are
 //    tested as bottlenecks, capped classes are swept only when the
@@ -27,6 +28,28 @@
 //  - Link→class index: each link lists the active class slots crossing it,
 //    updated when a class is created or its slot recycled (no per-solve
 //    rebuild).
+//  - Warm start: a solve logs its levels (share, freezes) and its freezes
+//    (class slot, rate) in order, and every class whose member count
+//    changes afterwards is marked, along with the links it crosses. The
+//    next solve replays logged levels, applying their freezes without a
+//    scan, while (a) every changed link's fair share, under both its new
+//    and its logged member count, sits more than the near-minimum band
+//    above the level's share, (b) no changed capped class has a cap at or
+//    below it, and (c) no changed class froze in the level. Only
+//    unchanged classes froze before the level, so an unchanged link (one
+//    no changed class crosses) has seen the same subtractions in the same
+//    order as in the logged solve, and a changed link has the same
+//    remaining capacity. By (a) the level's minimum lies on unchanged
+//    links in both solves, so the share repeats bit for bit; with (b) the
+//    cap round repeats, and changed links, more than the band above the
+//    share, pass no bottleneck test, so the bottleneck round repeats.
+//    ((c) follows from (a) and (b): a changed class that froze at the
+//    level did so at its cap or through a changed link at the share under
+//    its logged count. It is checked anyway, at O(changed classes).) From
+//    the first level that fails a test the bottleneck-local loop runs as
+//    usual and extends the log, so rates are bit-identical to a cold
+//    solve. The log is dropped when capacities change, on legacy solves
+//    and when no flow remains.
 //  - Instant-batched re-solve: a flow arrival/departure marks rates dirty;
 //    the solve runs ONCE at the end of the simulated instant (via the
 //    simulator's flush hook), so a burst of same-timestamp arrivals pays
@@ -52,7 +75,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/container.h"
 #include "common/stats.h"
 #include "net/cluster.h"
 #include "net/liveness.h"
@@ -131,8 +153,9 @@ struct NodePerf {
 
 // Solver introspection for benches and tests (bench/ext9, net_test).
 // The work counters are deterministic and mirrored as net/solver_levels,
-// net/solver_link_visits and net/solver_class_visits; the legacy backend
-// counts levels only.
+// net/solver_link_visits, net/solver_class_visits,
+// net/solver_replayed_levels and net/solver_replayed_freezes; the legacy
+// backend counts levels only.
 struct SolverStats {
   uint64_t class_solves = 0;    // instant-batched path-class re-solves
   uint64_t legacy_solves = 0;   // full per-flow re-solves (legacy path)
@@ -140,11 +163,14 @@ struct SolverStats {
   uint64_t retimes_damped = 0;  // skipped: earliest completion unchanged
   uint64_t path_classes_created = 0;
   size_t active_path_classes = 0;
-  uint64_t levels = 0;        // progressive-filling levels, summed over solves
+  uint64_t levels = 0;        // progressive-filling levels solved by a scan,
+                              // summed over solves
   uint64_t link_visits = 0;   // links read by the levels: fair-share scans
                               // and the bottleneck rounds' near-minimum links
   uint64_t class_visits = 0;  // class entries read: seeding, cap sweeps and
                               // link-index scans of bottleneck links
+  uint64_t replayed_levels = 0;   // levels warm-started from the last solve
+  uint64_t replayed_freezes = 0;  // class freezes those levels applied
 };
 
 class Network {
@@ -238,6 +264,12 @@ class Network {
   // Whether the link→class index lists exactly the active class slots on
   // each link (test only).
   bool link_index_consistent() const;
+  // Drops the warm-start log, re-solves the current flow set cold and
+  // returns whether every class rate and the rebuilt log equal the ones
+  // in place (compared with ==). Call it right after a flush: the rates
+  // in place then came from a warm start. Counts as one solve in the
+  // stats; when it returns true nothing else has changed. Test only.
+  bool cold_resolve_matches();
 
  private:
   struct GroundTruth final : LivenessView {
@@ -258,15 +290,28 @@ class Network {
     double cap = 0;        // per-flow cap (0 = none); part of the key
     double rate = 0;       // per-flow rate from the last solve
     NodeId src = 0, dst = 0;
+    uint32_t level = 0;    // logged level that froze it (kNoLevel: none)
+    bool changed = false;  // member count changed since the logged solve
   };
 
   struct Flow {
-    uint64_t id;
     uint32_t cls;       // index into classes_
     double remaining;   // bytes
     double rate = 0;    // current fair rate, bytes/sec
     sim::Event* done;
-    NodeId src, dst;
+  };
+
+  // Warm-start log of the last class solve: its levels in order, each with
+  // its share and the end of its freezes in freeze_log_.
+  struct LoggedLevel {
+    double share;
+    uint32_t end;
+    bool operator==(const LoggedLevel&) const = default;
+  };
+  struct LoggedFreeze {
+    uint32_t slot;
+    double rate;
+    bool operator==(const LoggedFreeze&) const = default;
   };
 
   // Link layout: [0, N): node up; [N, 2N): node down;
@@ -282,6 +327,22 @@ class Network {
                 sim::Event* done);
   uint32_t class_for(NodeId src, NodeId dst, double cap);
   void release_member(uint32_t cls);
+  // Counts one member flow arriving on (or leaving) every link on the
+  // class's path, keeping the per-link member counts and the live-link
+  // list current.
+  void count_member(const PathClass& c, bool arrival);
+  // Marks slot ci and its links as changed since the logged solve (a no-op
+  // without a log). Called before the member count moves.
+  void note_change(uint32_t ci);
+  void clear_changes();
+  void drop_log();
+  // Freezes slot ci at `rate` in the running solve: subtracts its members
+  // from its links and takes it out of the unfrozen set.
+  void freeze_class(uint32_t ci, double rate);
+  // Replays the logged levels that the changes since the log leave intact
+  // (see "Warm start" above) and truncates the log after them. Returns the
+  // number of classes frozen.
+  size_t replay_log();
   // Advances all flows to `now`, completing any that finished. Returns
   // whether any flow completed (and was removed).
   bool advance();
@@ -295,7 +356,8 @@ class Network {
   void solve_flows_legacy();
   void solve_classes();
   // Adds one solve's work to SolverStats and the net/solver_* counters.
-  void add_work(uint64_t levels, uint64_t link_visits, uint64_t class_visits);
+  void add_work(uint64_t levels, uint64_t link_visits, uint64_t class_visits,
+                uint64_t replayed_levels, uint64_t replayed_freezes);
   // Incremental path: marks rates stale and defers solve+retime to the
   // simulator's instant-end flush (one solve per instant, however many
   // arrivals/departures it batched).
@@ -313,7 +375,9 @@ class Network {
   ClusterConfig cfg_;
   bool legacy_ = false;
   std::vector<double> link_capacity_;
-  bs::unordered_map<uint64_t, Flow> flows_;
+  // Active flows in arrival order (deterministic; completions compact it
+  // in place).
+  std::vector<Flow> flows_;
   // Path classes: slot storage + free list; active slots listed in
   // creation order (dead slots are compacted out during the next solve);
   // ordered key index for arrival lookup.
@@ -325,6 +389,22 @@ class Network {
   // particular order. Kept current by class_for() and unlink_class(), so
   // a bottleneck round reads its candidates without a class sweep.
   std::vector<std::vector<uint32_t>> link_classes_;
+  // Per link: member flows of the active classes crossing it. Links that
+  // gained members since the last solve are appended to live_links_, which
+  // the next seeding compacts (link_listed_ guards against duplicates).
+  std::vector<uint32_t> link_members_;
+  std::vector<uint32_t> live_links_;
+  std::vector<char> link_listed_;
+  // Warm start: the last solve's log, valid until dropped, and what
+  // changed since: marked slots, and the links they cross with each one's
+  // member count at the logged solve.
+  std::vector<LoggedLevel> level_log_;
+  std::vector<LoggedFreeze> freeze_log_;
+  bool log_valid_ = false;
+  std::vector<uint32_t> changed_slots_;
+  std::vector<uint32_t> changed_links_;
+  std::vector<uint32_t> logged_members_;
+  std::vector<char> link_changed_;
   // Scratch for the solvers (sized to the link count, reused).
   std::vector<double> scratch_remaining_;
   std::vector<uint32_t> scratch_count_;
@@ -337,11 +417,8 @@ class Network {
   // share and its classes are not yet marked.
   std::vector<uint64_t> scratch_watch_;
   uint64_t level_stamp_ = 0;
-  // Active flows sorted by id (deterministic, maintained incrementally).
-  std::vector<Flow*> flow_order_;
   std::vector<std::unique_ptr<Disk>> disks_;
   double last_advance_ = 0;
-  uint64_t next_flow_id_ = 1;
   uint64_t timer_generation_ = 0;
   bool timer_pending_ = false;
   double timer_deadline_ = 0;
@@ -368,6 +445,9 @@ class Network {
   obs::Counter* m_levels_;
   obs::Counter* m_link_visits_;
   obs::Counter* m_class_visits_;
+  obs::Counter* m_replayed_levels_;
+  obs::Counter* m_replayed_freezes_;
+  obs::Counter* m_flow_advances_;
   obs::Histogram* m_transfer_s_;
   std::vector<obs::Counter*> m_rack_up_bytes_;
   std::vector<obs::Counter*> m_rack_down_bytes_;

@@ -667,6 +667,95 @@ TEST_F(SolverOracleTest, RecycledClassSlotsLeaveNoStaleIndexEntries) {
   EXPECT_EQ(net.solver_stats().path_classes_created, 27u);
 }
 
+// --- warm start vs. cold solve ----------------------------------------------
+
+// After every flush that solved, drops the warm-start log and re-solves
+// cold; every class rate and the rebuilt log must equal the warm solve's.
+struct ColdCheck {
+  Network* net = nullptr;
+  uint64_t solves_seen = 0;
+  int checks = 0;
+  bool ok = true;
+
+  static void hook(void* self) {
+    auto* c = static_cast<ColdCheck*>(self);
+    if (c->net->solver_stats().class_solves == c->solves_seen) return;
+    ++c->checks;
+    c->ok = c->ok && c->net->cold_resolve_matches();
+    c->solves_seen = c->net->solver_stats().class_solves;
+  }
+};
+
+class WarmStartTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(WarmStartTest, EveryFlushMatchesAColdSolve) {
+  // Churn on the paper cluster. Readers pull fetches whose starts fall on a
+  // coarse grid of instants and whose sizes come from a few values, so
+  // arrivals and departures come in same-instant bursts; a third of the
+  // fetches carry one of three caps. Chains issue each transfer on a new
+  // path the instant the previous one ends, recycling class slots. A busy
+  // node's NIC is slowed and restored mid-run.
+  Rng rng(GetParam());
+  sim::Simulator sim;
+  ClusterConfig cfg;
+  cfg.rack_uplink_bps = 4.0e9;
+  Network net(sim, cfg);
+  if (net.legacy_solver()) GTEST_SKIP() << "BS_LEGACY_SOLVER forces legacy";
+  ColdCheck check;
+  check.net = &net;
+  sim.add_flush_hook(&ColdCheck::hook, &check);
+
+  auto fetch = [](Network& n, NodeId src, NodeId dst, double bytes,
+                  double cap, double start) -> sim::Task<void> {
+    co_await n.simulator().delay(start);
+    co_await n.transfer(src, dst, bytes, cap);
+  };
+  const double caps[3] = {0.3 * cfg.nic_bps, 0.45 * cfg.nic_bps,
+                          0.6 * cfg.nic_bps};
+  constexpr uint32_t kReaders = 80;
+  constexpr uint32_t kFetches = 12;
+  for (uint32_t r = 0; r < kReaders; ++r) {
+    const NodeId reader = 1 + 3 * r;
+    for (uint32_t f = 0; f < kFetches; ++f) {
+      NodeId src = 1 + static_cast<NodeId>(rng.below(cfg.num_nodes - 1));
+      if (src == reader) src = src % (cfg.num_nodes - 1) + 1;
+      const double bytes = 262144.0 * static_cast<double>(1 + rng.below(4));
+      const double cap = rng.below(3) == 0 ? caps[rng.below(3)] : 0;
+      sim.spawn(fetch(net, src, reader, bytes, cap,
+                      0.002 * static_cast<double>(rng.below(25))));
+    }
+  }
+  auto chain = [](Network& n, Rng* rng, NodeId dst) -> sim::Task<void> {
+    for (int i = 0; i < 30; ++i) {
+      const auto src = static_cast<NodeId>(rng->below(n.config().num_nodes));
+      if (src == dst) continue;
+      co_await n.transfer(src, dst, 65536.0 * static_cast<double>(1 + i % 3));
+    }
+  };
+  for (NodeId dst : {0u, 2u, 269u}) sim.spawn(chain(net, &rng, dst));
+  auto slow_node = [](Network& n) -> sim::Task<void> {
+    co_await n.simulator().delay(0.021);
+    n.set_node_perf(1, NodePerf{.nic = 0.5});
+    co_await n.simulator().delay(0.02);
+    n.set_node_perf(1, NodePerf{});
+  };
+  sim.spawn(slow_node(net));
+  sim.run();
+
+  EXPECT_TRUE(check.ok);
+  EXPECT_GT(check.checks, 50);
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_TRUE(net.link_index_consistent());
+  // The check is not vacuous: warm starts replayed levels and freezes,
+  // and scans still solved the rest.
+  const SolverStats stats = net.solver_stats();
+  EXPECT_GT(stats.replayed_levels, 0u);
+  EXPECT_GT(stats.replayed_freezes, 0u);
+  EXPECT_GT(stats.levels, stats.replayed_levels);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WarmStartTest, ::testing::Range(1, 4));
+
 TEST(Network, BackendsAgreeOnCompletionTimesAndBytes) {
   // The same randomized workload through both solver backends must produce
   // the same physics: equal bytes moved and completion times within float
