@@ -82,8 +82,8 @@ sim::Task<Version> BlobClient::write(BlobId blob, uint64_t offset,
     std::vector<sim::Task<void>> puts;
     puts.reserve(nodes.size());
     for (const MetaNode& n : nodes) {
-      puts.push_back(
-          dht_.put(node_, meta_key(blob, n.range, n.version), n.serialize()));
+      puts.push_back(dht_.put(
+          node_, MetaKey{blob, n.range.first, n.range.count, n.version}, n));
       ++meta_nodes_written_;
     }
     co_await sim::when_all_limited(sim_, std::move(puts),
@@ -145,16 +145,16 @@ sim::Task<std::vector<MetaNode>> BlobClient::walk(BlobId blob, PageRange range,
   if (version == kNoVersion || !range.intersects(target)) {
     co_return std::vector<MetaNode>{};
   }
-  auto raw = co_await dht_.get(node_, meta_key(blob, range, version));
-  BS_CHECK_MSG(raw.has_value(), "metadata node missing for published version");
+  auto node = co_await dht_.get(
+      node_, MetaKey{blob, range.first, range.count, version});
+  BS_CHECK_MSG(node.has_value(), "metadata node missing for published version");
   ++meta_nodes_read_;
-  MetaNode node = MetaNode::deserialize(*raw);
-  if (node.is_leaf()) {
-    co_return std::vector<MetaNode>{std::move(node)};
+  if (node->is_leaf()) {
+    co_return std::vector<MetaNode>{std::move(*node)};
   }
   std::vector<sim::Task<std::vector<MetaNode>>> subs;
-  subs.push_back(walk(blob, left_child(range), node.left, target));
-  subs.push_back(walk(blob, right_child(range), node.right, target));
+  subs.push_back(walk(blob, left_child(range), node->left, target));
+  subs.push_back(walk(blob, right_child(range), node->right, target));
   auto results = co_await sim::when_all(sim_, std::move(subs));
   std::vector<MetaNode> out = std::move(results[0]);
   out.insert(out.end(), std::make_move_iterator(results[1].begin()),

@@ -66,18 +66,17 @@ sim::Task<GcStats> collect_garbage(
     });
 
     for (const PageRange& range : dead) {
-      const std::string key = meta_key(blob, range, u);
+      const MetaKey key{blob, range.first, range.count, u};
       if (range.count == 1) {
         // Leaf: delete the page replicas it points at, then the leaf.
-        auto raw = co_await dht.get(node, key);
-        if (raw.has_value()) {
-          const MetaNode leaf = MetaNode::deserialize(*raw);
-          for (net::NodeId provider : leaf.providers) {
+        auto leaf = co_await dht.get(node, key);
+        if (leaf.has_value()) {
+          for (net::NodeId provider : leaf->providers) {
             const bool had = co_await cluster.provider_on(provider).erase_page(
                 node, PageKey{blob, range.first, u});
             if (had) {
               ++stats.page_replicas_deleted;
-              stats.bytes_reclaimed += leaf.page_length;
+              stats.bytes_reclaimed += leaf->page_length;
             }
           }
         }

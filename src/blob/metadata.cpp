@@ -1,59 +1,24 @@
 #include "blob/metadata.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "common/assert.h"
+#include "common/hash.h"
 
 namespace bs::blob {
-namespace {
 
-void put_u64(Bytes& out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (i * 8)));
-}
-
-uint64_t get_u64(const Bytes& in, size_t& at) {
-  BS_CHECK(at + 8 <= in.size());
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(in[at + i]) << (i * 8);
-  at += 8;
-  return v;
-}
-
-}  // namespace
-
-Bytes MetaNode::serialize() const {
-  Bytes out;
-  put_u64(out, range.first);
-  put_u64(out, range.count);
-  put_u64(out, version);
-  put_u64(out, left);
-  put_u64(out, right);
-  put_u64(out, page_length);
-  put_u64(out, providers.size());
-  for (net::NodeId p : providers) put_u64(out, p);
-  return out;
-}
-
-MetaNode MetaNode::deserialize(const Bytes& raw) {
-  MetaNode n;
-  size_t at = 0;
-  n.range.first = get_u64(raw, at);
-  n.range.count = get_u64(raw, at);
-  n.version = static_cast<Version>(get_u64(raw, at));
-  n.left = static_cast<Version>(get_u64(raw, at));
-  n.right = static_cast<Version>(get_u64(raw, at));
-  n.page_length = static_cast<uint32_t>(get_u64(raw, at));
-  const uint64_t np = get_u64(raw, at);
-  n.providers.reserve(np);
-  for (uint64_t i = 0; i < np; ++i) {
-    n.providers.push_back(static_cast<net::NodeId>(get_u64(raw, at)));
+uint64_t MetaKey::placement_hash() const {
+  // 'm' plus four '/'-led decimal fields: at most 1 + 2 * 11 + 2 * 21 = 65
+  // chars (blob and version are 32-bit).
+  char buf[72];
+  buf[0] = 'm';
+  char* p = buf + 1;
+  for (const uint64_t field : {uint64_t{blob}, first, count, uint64_t{version}}) {
+    *p++ = '/';
+    p = std::to_chars(p, buf + sizeof(buf), field).ptr;
   }
-  return n;
-}
-
-std::string meta_key(BlobId blob, const PageRange& range, Version version) {
-  return "m/" + std::to_string(blob) + "/" + std::to_string(range.first) + "/" +
-         std::to_string(range.count) + "/" + std::to_string(version);
+  return fnv1a64(buf, static_cast<size_t>(p - buf));
 }
 
 bool node_exists(const PageRange& node, const PageRange& write_range,

@@ -23,17 +23,18 @@
 // (possibly unpublished, possibly not yet stored) tree nodes. This is what
 // makes concurrent writes to one blob metadata-safe.
 //
-// DHT keys are deterministic: "m/<blob>/<first>/<count>/<version>".
+// Placement contract: a node is stored under MetaKey{blob, first, count,
+// version}, and the DHT places it by MetaKey::placement_hash(), which is
+// exactly fnv1a64 of the text "m/<blob>/<first>/<count>/<version>" (decimal
+// fields).
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "blob/types.h"
-#include "common/dataspec.h"
 
 namespace bs::blob {
 
@@ -52,13 +53,25 @@ struct MetaNode {
   uint32_t page_length = 0;  // bytes stored (≤ page_size; last page may be short)
 
   bool is_leaf() const { return range.count == 1; }
-
-  Bytes serialize() const;
-  static MetaNode deserialize(const Bytes& raw);
 };
 
-// DHT key for a node.
-std::string meta_key(BlobId blob, const PageRange& range, Version version);
+// DHT key of the node covering [first, first + count) that `version`
+// created in `blob`'s tree.
+struct MetaKey {
+  BlobId blob = 0;
+  uint64_t first = 0;
+  uint64_t count = 0;
+  Version version = kNoVersion;
+
+  // fnv1a64 of "m/<blob>/<first>/<count>/<version>", streamed through a
+  // stack buffer (no allocation). Chooses the node's DHT replicas.
+  uint64_t placement_hash() const;
+
+  bool operator==(const MetaKey& o) const {
+    return blob == o.blob && first == o.first && count == o.count &&
+           version == o.version;
+  }
+};
 
 // --- Pure tree math (unit-tested exhaustively) ---
 
@@ -94,3 +107,10 @@ inline PageRange right_child(const PageRange& r) {
 }
 
 }  // namespace bs::blob
+
+template <>
+struct std::hash<bs::blob::MetaKey> {
+  size_t operator()(const bs::blob::MetaKey& k) const noexcept {
+    return static_cast<size_t>(k.placement_hash());
+  }
+};

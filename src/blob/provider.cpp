@@ -36,11 +36,18 @@ Provider::Provider(sim::Simulator& sim, net::Network& net, ProviderConfig cfg)
   m_replications_ = &m.counter("blob/replications");
 }
 
-bool Provider::ram_resident(const std::string& key) const {
+bool Provider::ram_resident(const PageKey& key) const {
   return dirty_seq_.count(key) > 0 || lru_index_.count(key) > 0;
 }
 
-void Provider::cache_touch(const std::string& key, uint64_t size) {
+bool Provider::cacheable_after_read(const PageKey& key) const {
+  // A page erased or wiped during the disk read must not enter the LRU: the
+  // stale entry would count its RAM twice once the key is stored again. A
+  // page re-stored meanwhile is dirty, and the flusher caches it.
+  return store_.contains(key) && dirty_seq_.count(key) == 0;
+}
+
+void Provider::cache_touch(const PageKey& key, uint64_t size) {
   if (!cfg_.read_cache) return;
   auto it = lru_index_.find(key);
   if (it != lru_index_.end()) {
@@ -122,7 +129,6 @@ sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
 
   // Admission: wait until the page fits in RAM. Clean pages are evicted
   // first; if dirty pages alone exceed RAM we must wait for the flusher.
-  const std::string skey = key.to_string();
   cache_evict_for(size);
   while (ram_used_ + size > cfg_.ram_bytes) {
     co_await ram_freed_.wait();
@@ -134,18 +140,18 @@ sim::Task<bool> Provider::put_page(net::NodeId client, PageKey key,
 
   // The page is logically stored now (write-behind persistence); the ack
   // below settles per the durability policy.
-  store_.put(skey, data.serialize());
+  store_.insert_or_assign(key, std::move(data));
   ++pages_stored_;
   uint64_t my_seq;
-  auto dit = dirty_seq_.find(skey);
+  auto dit = dirty_seq_.find(key);
   if (dit != dirty_seq_.end()) {
     // Overwrite of a still-dirty page: it keeps its queue slot (and its
     // place in the unsynced window).
     my_seq = dit->second;
   } else {
     my_seq = ++next_seq_;
-    dirty_seq_.emplace(skey, my_seq);
-    dirty_.push_back(DirtyPage{skey, size, my_seq, sim_.now()});
+    dirty_seq_.emplace(key, my_seq);
+    dirty_.push_back(DirtyPage{key, size, my_seq, sim_.now()});
     unsynced_bytes_ += size;
     gc_.unsynced_bytes->add(static_cast<double>(size));
   }
@@ -274,7 +280,6 @@ sim::Task<void> Provider::flusher() {
 
 sim::Task<std::optional<DataSpec>> Provider::get_page(net::NodeId client,
                                                       PageKey key) {
-  const std::string skey = key.to_string();
   if (down_) {
     co_await sim_.delay(net_.config().rpc_timeout_s);
     co_return std::nullopt;
@@ -282,23 +287,24 @@ sim::Task<std::optional<DataSpec>> Provider::get_page(net::NodeId client,
   const double t0 = sim_.now();
   // Request reaches the provider first.
   co_await net_.control(client, cfg_.node);
-  auto raw = store_.get(skey);
-  if (!raw.has_value()) {
+  auto it = store_.find(key);
+  if (it == store_.end()) {
     co_await net_.control(cfg_.node, client);
     co_return std::nullopt;
   }
-  DataSpec data = DataSpec::deserialize(raw->data(), raw->size());
-  if (ram_resident(skey)) {
+  // A copy: the page may be erased or wiped while it is being served.
+  DataSpec data = it->second;
+  if (ram_resident(key)) {
     ++cache_hits_;
     m_cache_hits_->inc();
     // Refresh LRU position only for clean pages; dirty pages are pinned by
     // the flush queue and not in the LRU yet.
-    if (dirty_seq_.count(skey) == 0) cache_touch(skey, data.size());
+    if (dirty_seq_.count(key) == 0) cache_touch(key, data.size());
   } else {
     ++cache_misses_;
     m_cache_misses_->inc();
     co_await net_.disk(cfg_.node).read(static_cast<double>(data.size()));
-    cache_touch(skey, data.size());
+    if (cacheable_after_read(key)) cache_touch(key, data.size());
   }
   // Page body travels provider → client.
   co_await net_.transfer(cfg_.node, client, static_cast<double>(data.size()));
@@ -317,15 +323,14 @@ sim::Task<std::optional<DataSpec>> Provider::get_page(net::NodeId client,
 sim::Task<bool> Provider::replicate_to(Provider& dst, PageKey key,
                                        double rate_cap) {
   if (down_ || dst.down_) co_return false;
-  const std::string skey = key.to_string();
-  auto raw = store_.get(skey);
-  if (!raw.has_value()) co_return false;
-  DataSpec data = DataSpec::deserialize(raw->data(), raw->size());
-  if (ram_resident(skey)) {
-    if (dirty_seq_.count(skey) == 0) cache_touch(skey, data.size());
+  auto it = store_.find(key);
+  if (it == store_.end()) co_return false;
+  DataSpec data = it->second;
+  if (ram_resident(key)) {
+    if (dirty_seq_.count(key) == 0) cache_touch(key, data.size());
   } else {
     co_await net_.disk(cfg_.node).read(static_cast<double>(data.size()));
-    cache_touch(skey, data.size());
+    if (cacheable_after_read(key)) cache_touch(key, data.size());
   }
   // put_page pays the provider→provider flow (client = this node).
   const bool ok = co_await dst.put_page(cfg_.node, key, std::move(data),
@@ -352,12 +357,7 @@ void Provider::crash(bool wipe_storage) {
     // released here: a stale entry for a wiped key would otherwise
     // double-count RAM (and corrupt the LRU index) when the key is
     // re-stored after recovery, e.g. by the repair service.
-    std::vector<std::string> keys;
-    store_.scan("", "", [&](const std::string& k, const Bytes&) {
-      keys.push_back(k);
-      return true;
-    });
-    for (const auto& k : keys) store_.erase(k);
+    store_.clear();
     for (const auto& [key, size] : lru_) ram_used_ -= size;
     lru_.clear();
     lru_index_.clear();
@@ -367,15 +367,14 @@ void Provider::crash(bool wipe_storage) {
 void Provider::recover() { down_ = false; }
 
 sim::Task<bool> Provider::erase_page(net::NodeId client, PageKey key) {
-  const std::string skey = key.to_string();
   if (down_) {
     co_await sim_.delay(net_.config().rpc_timeout_s);
     co_return false;
   }
   co_await net_.control(client, cfg_.node);
-  const bool present = store_.erase(skey);
+  const bool present = store_.erase(key) > 0;
   if (present) {
-    auto it = lru_index_.find(skey);
+    auto it = lru_index_.find(key);
     if (it != lru_index_.end()) {
       ram_used_ -= it->second->second;
       lru_.erase(it->second);

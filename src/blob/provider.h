@@ -3,9 +3,9 @@
 // Write path: the page body arrives over the network (a flow), lands in the
 // provider's RAM buffer, and is acknowledged per the configured
 // DurabilityPolicy (common/durability.h); a background flusher persists
-// buffered pages to the local disk through the KV store (the BerkeleyDB
-// stand-in). If the RAM buffer is full, incoming writes block until the
-// flusher drains — this is the backpressure that makes provider write
+// buffered pages to the local disk (the paper's BerkeleyDB, timed by the
+// simulated Disk). If the RAM buffer is full, incoming writes block until
+// the flusher drains — this is the backpressure that makes provider write
 // throughput degrade to disk speed once RAM is exhausted, and it is why
 // BlobSeer's load-balanced remote writes beat HDFS's synchronous local-disk
 // writes in the paper's §IV.B write benchmark.
@@ -28,7 +28,7 @@
 //               platter. A power loss destroys zero acked pages.
 //
 // Power loss discards exactly the unsynced window: pages whose batch
-// reached the disk survive a plain crash (the KV store models the disk
+// reached the disk survive a plain crash (the page map models the disk
 // contents); unsynced pages die with RAM, and the batch in flight dies via
 // the PR-4 incarnation machinery (net::Network::try_disk_write).
 //
@@ -41,7 +41,6 @@
 #include <deque>
 #include <list>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "blob/types.h"
@@ -49,7 +48,6 @@
 #include "common/dataspec.h"
 #include "common/durability.h"
 #include "common/stats.h"
-#include "kv/kvstore.h"
 #include "net/network.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -99,7 +97,7 @@ class Provider {
   //
   // A crash is fail-stop at the network level: every request fails until
   // recover(). Storage semantics: pages whose flush reached the disk
-  // survive a plain crash (the KV store models the disk contents); pages
+  // survive a plain crash (the page map models the disk contents); pages
   // still in the unsynced window are destroyed — exactly the window, no
   // more, no less (bytes_lost_on_power_loss accounts them). wipe_storage
   // additionally models a disk loss, after which only re-replication can
@@ -119,17 +117,14 @@ class Provider {
   // Whether this provider's store holds the page (repair's "block report":
   // a wiped-and-recovered node is up but empty, and only this tells the
   // repair service the replica needs re-creating). Local, no modeled cost.
-  bool has_page(const PageKey& key) const {
-    return store_.contains(key.to_string());
-  }
+  bool has_page(const PageKey& key) const { return store_.contains(key); }
 
   // --- introspection ---
-  uint64_t pages_stored() const { return pages_stored_; }
-  uint64_t bytes_stored() const { return store_.value_bytes(); }
+  uint64_t pages_stored() const { return pages_stored_; }  // puts, ever
+  size_t pages_held() const { return store_.size(); }      // replicas now
   uint64_t ram_used() const { return ram_used_; }
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
-  const kv::KvStore& store() const { return store_; }
   // The durability spectrum's observable side: the unsynced window now, and
   // what power losses destroyed so far.
   uint64_t unsynced_pages() const { return dirty_.size() + inflight_.size(); }
@@ -143,16 +138,17 @@ class Provider {
   // synced_seq_ is the highest seq on the platter, so seq - synced_seq_ is
   // the page's depth in the window.
   struct DirtyPage {
-    std::string key;
+    PageKey key;
     uint64_t size = 0;
     uint64_t seq = 0;
     double enqueued_at = 0;
   };
 
   // LRU bookkeeping for RAM-resident *clean* pages.
-  void cache_touch(const std::string& key, uint64_t size);
+  void cache_touch(const PageKey& key, uint64_t size);
   void cache_evict_for(uint64_t need);
-  bool ram_resident(const std::string& key) const;
+  bool ram_resident(const PageKey& key) const;
+  bool cacheable_after_read(const PageKey& key) const;
 
   // True if a page with this seq has been acked already (for loss
   // accounting at power-loss time).
@@ -166,13 +162,13 @@ class Provider {
   sim::Simulator& sim_;
   net::Network& net_;
   ProviderConfig cfg_;
-  kv::KvStore store_;  // persisted pages (the "disk" contents)
+  bs::unordered_map<PageKey, DataSpec> store_;  // the "disk" contents
 
   // Dirty queue: pages in RAM awaiting flush. dirty_seq_ maps key → seq for
   // every page that is dirty or in the in-flight batch.
   std::deque<DirtyPage> dirty_;
   std::vector<DirtyPage> inflight_;  // the batch on the platter path
-  bs::unordered_map<std::string, uint64_t> dirty_seq_;
+  bs::unordered_map<PageKey, uint64_t> dirty_seq_;
   uint64_t next_seq_ = 0;    // last seq assigned
   uint64_t synced_seq_ = 0;  // highest seq durable on disk
   uint64_t ram_used_ = 0;
@@ -185,8 +181,8 @@ class Provider {
   bool force_flush_ = false;  // drain(): flush now, ignore the batch trigger
 
   // Clean-page LRU (front = most recent).
-  std::list<std::pair<std::string, uint64_t>> lru_;
-  bs::unordered_map<std::string, std::list<std::pair<std::string, uint64_t>>::iterator>
+  std::list<std::pair<PageKey, uint64_t>> lru_;
+  bs::unordered_map<PageKey, std::list<std::pair<PageKey, uint64_t>>::iterator>
       lru_index_;
 
   uint64_t pages_stored_ = 0;

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "common/assert.h"
@@ -96,10 +96,6 @@ struct PageKey {
   uint64_t index = 0;
   Version version = kNoVersion;
 
-  std::string to_string() const {
-    return "p/" + std::to_string(blob) + "/" + std::to_string(index) + "/" +
-           std::to_string(version);
-  }
   bool operator==(const PageKey& o) const {
     return blob == o.blob && index == o.index && version == o.version;
   }
@@ -127,3 +123,13 @@ inline uint64_t pages_for_bytes(uint64_t bytes, uint64_t page_size) {
 }
 
 }  // namespace bs::blob
+
+// Lookup hash for the providers' page maps; bs::SeededHash avalanches it.
+template <>
+struct std::hash<bs::blob::PageKey> {
+  size_t operator()(const bs::blob::PageKey& k) const noexcept {
+    return static_cast<size_t>(
+        ((static_cast<uint64_t>(k.blob) << 32) | k.version) ^
+        (k.index * 0x9e3779b97f4a7c15ULL));
+  }
+};

@@ -1,7 +1,6 @@
 #include "dht/dht.h"
 
 #include "common/assert.h"
-#include "common/hash.h"
 #include "sim/parallel.h"
 
 namespace bs::dht {
@@ -15,52 +14,53 @@ Dht::Dht(sim::Simulator& sim, net::Network& net, std::vector<net::NodeId> nodes,
 }
 
 sim::Task<void> Dht::put_one(net::NodeId client, net::NodeId server,
-                             std::string key, Bytes value) {
+                             blob::MetaKey key, blob::MetaNode node) {
   Server& s = *servers_.at(server);
   co_await net_.control(client, server);
   co_await s.queue.process();
-  s.store.put(key, std::move(value));
+  s.store.insert_or_assign(key, std::move(node));
   ++s.requests;
   co_await net_.control(server, client);
 }
 
-sim::Task<void> Dht::put(net::NodeId client, std::string key, Bytes value) {
+sim::Task<void> Dht::put(net::NodeId client, blob::MetaKey key,
+                         blob::MetaNode node) {
   ++puts_;
-  const uint64_t h = fnv1a64(key);
-  auto targets = ring_.replicas(h, cfg_.replication);
+  auto targets = ring_.replicas(key.placement_hash(), cfg_.replication);
   if (targets.size() == 1) {
-    co_await put_one(client, targets[0], std::move(key), std::move(value));
+    co_await put_one(client, targets[0], key, std::move(node));
     co_return;
   }
   std::vector<sim::Task<void>> writes;
   writes.reserve(targets.size());
   for (net::NodeId t : targets) {
-    writes.push_back(put_one(client, t, key, value));
+    writes.push_back(put_one(client, t, key, node));
   }
   co_await sim::when_all(sim_, std::move(writes));
 }
 
-sim::Task<std::optional<Bytes>> Dht::get(net::NodeId client, std::string key) {
+sim::Task<std::optional<blob::MetaNode>> Dht::get(net::NodeId client,
+                                                  blob::MetaKey key) {
   ++gets_;
-  const net::NodeId target = ring_.primary(fnv1a64(key));
+  const net::NodeId target = ring_.primary(key.placement_hash());
   Server& s = *servers_.at(target);
   co_await net_.control(client, target);
   co_await s.queue.process();
-  auto result = s.store.get(key);
+  std::optional<blob::MetaNode> result;
+  if (auto it = s.store.find(key); it != s.store.end()) result = it->second;
   ++s.requests;
   co_await net_.control(target, client);
   co_return result;
 }
 
-sim::Task<bool> Dht::erase(net::NodeId client, std::string key) {
-  const uint64_t h = fnv1a64(key);
-  auto targets = ring_.replicas(h, cfg_.replication);
+sim::Task<bool> Dht::erase(net::NodeId client, blob::MetaKey key) {
+  auto targets = ring_.replicas(key.placement_hash(), cfg_.replication);
   bool erased = false;
   for (size_t i = 0; i < targets.size(); ++i) {
     Server& s = *servers_.at(targets[i]);
     co_await net_.control(client, targets[i]);
     co_await s.queue.process();
-    const bool hit = s.store.erase(key);
+    const bool hit = s.store.erase(key) > 0;
     if (i == 0) erased = hit;
     ++s.requests;
     co_await net_.control(targets[i], client);

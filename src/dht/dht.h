@@ -1,25 +1,25 @@
 // The distributed hash table holding BlobSeer's metadata.
 //
 // Each metadata provider runs on a cluster node and serves get/put requests
-// for the segment-tree nodes hashed onto it. Requests cost a control
-// round-trip plus a per-request service time at the provider; the point of
-// distributing metadata (paper §III.A) is that this load spreads over many
-// nodes instead of queueing at one server — reproduced here by giving every
-// provider its own ServiceQueue.
+// for the segment-tree nodes hashed onto it (by MetaKey::placement_hash,
+// see blob/metadata.h). Requests cost a control round-trip plus a
+// per-request service time at the provider; the point of distributing
+// metadata (paper §III.A) is that this load spreads over many nodes instead
+// of queueing at one server — reproduced here by giving every provider its
+// own ServiceQueue. A provider keeps its nodes in a plain map: the time a
+// real store would spend on them is what the ServiceQueue charges.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
+#include "blob/metadata.h"
 #include "common/container.h"
-#include "common/dataspec.h"
 #include "common/stats.h"
 #include "dht/ring.h"
-#include "kv/kvstore.h"
 #include "net/network.h"
 #include "net/rpc.h"
 #include "sim/task.h"
@@ -40,12 +40,14 @@ class Dht {
   Dht(sim::Simulator& sim, net::Network& net, std::vector<net::NodeId> nodes,
       DhtConfig cfg = {});
 
-  // Stores `value` under `key` on all replicas (parallel).
-  sim::Task<void> put(net::NodeId client, std::string key, Bytes value);
+  // Stores `node` under `key` on all replicas (parallel).
+  sim::Task<void> put(net::NodeId client, blob::MetaKey key,
+                      blob::MetaNode node);
   // Reads from the primary replica.
-  sim::Task<std::optional<Bytes>> get(net::NodeId client, std::string key);
+  sim::Task<std::optional<blob::MetaNode>> get(net::NodeId client,
+                                               blob::MetaKey key);
   // Deletes `key` from all replicas; returns true if the primary had it.
-  sim::Task<bool> erase(net::NodeId client, std::string key);
+  sim::Task<bool> erase(net::NodeId client, blob::MetaKey key);
 
   const HashRing& ring() const { return ring_; }
   // Total entries across all providers (each replica counts once).
@@ -61,13 +63,13 @@ class Dht {
   struct Server {
     explicit Server(sim::Simulator& sim, double service_time)
         : queue(sim, service_time) {}
-    kv::KvStore store;
+    bs::unordered_map<blob::MetaKey, blob::MetaNode> store;
     net::ServiceQueue queue;
     uint64_t requests = 0;
   };
 
   sim::Task<void> put_one(net::NodeId client, net::NodeId server,
-                          std::string key, Bytes value);
+                          blob::MetaKey key, blob::MetaNode node);
 
   sim::Simulator& sim_;
   net::Network& net_;

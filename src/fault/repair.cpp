@@ -32,10 +32,10 @@ sim::Task<void> RepairService::repair_leaf(blob::BlobId blob, uint64_t page,
                                            uint64_t page_size,
                                            RepairStats* stats) {
   auto& dht = cluster_.metadata_dht();
-  const std::string key = blob::meta_key(blob, {page, 1}, version);
-  auto raw = co_await dht.get(cfg_.node, key);
-  if (!raw.has_value()) co_return;  // pruned/GC'd version
-  MetaNode leaf = MetaNode::deserialize(*raw);
+  const blob::MetaKey key{blob, page, 1, version};
+  auto found = co_await dht.get(cfg_.node, key);
+  if (!found.has_value()) co_return;  // pruned/GC'd version
+  MetaNode leaf = std::move(*found);
   ++stats->leaves_scanned;
 
   // "alive" means up AND holding the page (the has_page check models the
@@ -90,7 +90,7 @@ sim::Task<void> RepairService::repair_leaf(blob::BlobId blob, uint64_t page,
   if (healthy != leaf.providers) {
     stats->replicas_dropped += dead.size();
     leaf.providers = std::move(healthy);
-    co_await dht.put(cfg_.node, key, leaf.serialize());
+    co_await dht.put(cfg_.node, key, std::move(leaf));
   }
 }
 

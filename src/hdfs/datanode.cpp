@@ -12,8 +12,6 @@
 namespace bs::hdfs {
 namespace {
 
-std::string block_key(BlockId id) { return "b/" + std::to_string(id); }
-
 std::string block_args(BlockId id, uint64_t bytes) {
   char buf[96];
   std::snprintf(buf, sizeof(buf), "\"block\":%llu,\"bytes\":%llu",
@@ -88,7 +86,7 @@ void DataNode::drop_unsynced(std::vector<UnsyncedBlock>& blocks) {
       acked_bytes_lost_ += b.size;
       gc_.acked_bytes_lost->inc(static_cast<double>(b.size));
     }
-    if (store_.contains(block_key(b.id))) forget_block(b.id);
+    if (store_.contains(b.id)) forget_block(b.id);
   }
   blocks.clear();
 }
@@ -99,7 +97,8 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
     co_await sim_.delay(net_.config().rpc_timeout_s);
     co_return false;
   }
-  const double bytes = static_cast<double>(data.size());
+  const uint64_t size = data.size();
+  const double bytes = static_cast<double>(size);
   const double t0 = sim_.now();
   if (durability_.level == DurabilityLevel::kImmediate) {
     // Streaming write-through: the network transfer and the disk write run
@@ -109,14 +108,14 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
     legs.push_back(net_.disk(node_).write(bytes));
     co_await sim::when_all(sim_, std::move(legs));
     if (down_) co_return false;  // crashed mid-transfer: bytes discarded
-    store_.put(block_key(id), data.serialize());
-    cache_touch(id, data.size());  // freshly written blocks sit in page cache
+    store_.insert_or_assign(id, std::move(data));
+    cache_touch(id, size);  // freshly written blocks sit in page cache
     ++blocks_stored_;
     m_blocks_received_->inc();
     m_bytes_received_->inc(bytes);
     if (tracer_->enabled()) {
       tracer_->complete("hdfs", "hdfs", node_, "recv_block", t0,
-                        block_args(id, data.size()));
+                        block_args(id, size));
     }
     co_return true;
   }
@@ -125,12 +124,12 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
   // alone; the background syncer hsyncs it later.
   co_await net_.transfer(from, node_, bytes, rate_cap);
   if (down_) co_return false;  // crashed mid-transfer: bytes discarded
-  store_.put(block_key(id), data.serialize());
-  cache_touch(id, data.size());
+  store_.insert_or_assign(id, std::move(data));
+  cache_touch(id, size);
   ++blocks_stored_;
   const uint64_t my_seq = ++next_seq_;
-  unsynced_.push_back(UnsyncedBlock{id, data.size(), my_seq, sim_.now()});
-  unsynced_bytes_ += data.size();
+  unsynced_.push_back(UnsyncedBlock{id, size, my_seq, sim_.now()});
+  unsynced_bytes_ += size;
   gc_.unsynced_bytes->add(bytes);
   sync_added_.notify_one();
   if (!syncer_running_) {
@@ -158,7 +157,7 @@ sim::Task<bool> DataNode::receive_block(net::NodeId from, BlockId id,
   }
   if (tracer_->enabled()) {
     tracer_->complete("hdfs", "hdfs", node_, "recv_block", t0,
-                      block_args(id, data.size()));
+                      block_args(id, size));
   }
   co_return acked;
 }
@@ -199,7 +198,7 @@ sim::Task<void> DataNode::syncer() {
       UnsyncedBlock b = unsynced_.front();
       unsynced_.pop_front();
       last_seq = std::max(last_seq, b.seq);
-      if (!store_.contains(block_key(b.id))) {
+      if (!store_.contains(b.id)) {
         // Forgotten (pipeline teardown) while waiting for its hsync.
         unsynced_bytes_ -= b.size;
         gc_.unsynced_bytes->add(-static_cast<double>(b.size));
@@ -244,20 +243,20 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
   }
   const double t0 = sim_.now();
   co_await net_.control(client, node_);
-  auto raw = store_.get(block_key(id));
-  if (!raw.has_value()) {
+  auto it = store_.find(id);
+  if (it == store_.end()) {
     co_await net_.control(node_, client);
     co_return std::nullopt;
   }
-  DataSpec block = DataSpec::deserialize(raw->data(), raw->size());
-  BS_CHECK(offset <= block.size());
-  length = std::min(length, block.size() - offset);
-  DataSpec out = block.slice(offset, length);
+  const uint64_t block_size = it->second.size();
+  BS_CHECK(offset <= block_size);
+  length = std::min(length, block_size - offset);
+  DataSpec out = it->second.slice(offset, length);
   if (cache_contains(id)) {
     // Served from the page cache: network only.
     ++cache_hits_;
     m_cache_hits_->inc();
-    cache_touch(id, block.size());
+    cache_touch(id, block_size);
     co_await net_.transfer(node_, client, static_cast<double>(length));
   } else {
     ++cache_misses_;
@@ -267,7 +266,8 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
     legs.push_back(net_.disk(node_).read(static_cast<double>(length)));
     legs.push_back(net_.transfer(node_, client, static_cast<double>(length)));
     co_await sim::when_all(sim_, std::move(legs));
-    cache_touch(id, block.size());
+    // A block forgotten or wiped during the read stays out of the cache.
+    if (store_.contains(id)) cache_touch(id, block_size);
   }
   // Crashed while serving (mid-read): the stream resets; the reader fails
   // over to another replica.
@@ -284,16 +284,16 @@ sim::Task<std::optional<DataSpec>> DataNode::read_block(net::NodeId client,
 sim::Task<bool> DataNode::replicate_to(DataNode& dst, BlockId id,
                                        double rate_cap) {
   if (down_ || dst.down_) co_return false;
-  auto raw = store_.get(block_key(id));
-  if (!raw.has_value()) co_return false;
-  DataSpec block = DataSpec::deserialize(raw->data(), raw->size());
+  auto it = store_.find(id);
+  if (it == store_.end()) co_return false;
+  DataSpec block = it->second;
   if (cache_contains(id)) {
     ++cache_hits_;
     cache_touch(id, block.size());
   } else {
     ++cache_misses_;
     co_await net_.disk(node_).read(static_cast<double>(block.size()));
-    cache_touch(id, block.size());
+    if (store_.contains(id)) cache_touch(id, block.size());
   }
   // receive_block pays the dn→dn flow and the destination disk write.
   const bool ok =
@@ -303,7 +303,7 @@ sim::Task<bool> DataNode::replicate_to(DataNode& dst, BlockId id,
 }
 
 void DataNode::forget_block(BlockId id) {
-  store_.erase(block_key(id));
+  store_.erase(id);
   auto it = lru_index_.find(id);
   if (it != lru_index_.end()) {
     ram_used_ -= it->second->second;
@@ -324,12 +324,7 @@ void DataNode::crash(bool wipe_storage) {
   sync_cv_.notify_all();    // receive_block ack waiters observe the crash
   sync_added_.notify_all();  // syncer re-checks its (now empty) queue
   if (wipe_storage) {
-    std::vector<std::string> keys;
-    store_.scan("", "", [&](const std::string& k, const Bytes&) {
-      keys.push_back(k);
-      return true;
-    });
-    for (const auto& k : keys) store_.erase(k);
+    store_.clear();
     lru_.clear();
     lru_index_.clear();
     ram_used_ = 0;
@@ -342,10 +337,6 @@ sim::Task<void> DataNode::drain() {
   sync_added_.notify_all();
   while (!unsynced_.empty() || !inflight_.empty()) co_await drained_.wait();
   force_sync_ = false;
-}
-
-bool DataNode::has_block(BlockId id) const {
-  return store_.contains(block_key(id));
 }
 
 }  // namespace bs::hdfs

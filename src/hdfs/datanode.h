@@ -22,7 +22,8 @@
 //               unsynced block.
 // Power loss discards exactly the unsynced window (the batch in flight is
 // failed by the PR-4 incarnation machinery, net::Network::try_disk_write);
-// synced blocks survive a plain crash.
+// synced blocks survive a plain crash. The block map models the disk
+// contents; the disk's time is charged by the simulated Disk.
 //
 // Reads stream one block from one datanode (HDFS reads are single-source —
 // the contrast with BSFS's striped parallel page fetches).
@@ -38,7 +39,6 @@
 #include "common/dataspec.h"
 #include "common/durability.h"
 #include "hdfs/namenode.h"
-#include "kv/kvstore.h"
 #include "net/network.h"
 #include "sim/sync.h"
 #include "sim/task.h"
@@ -89,8 +89,9 @@ class DataNode {
   // regardless of the count-or-time trigger.
   sim::Task<void> drain();
 
-  bool has_block(BlockId id) const;
+  bool has_block(BlockId id) const { return store_.contains(id); }
   uint64_t blocks_stored() const { return blocks_stored_; }
+  uint64_t ram_used() const { return ram_used_; }  // page-cache bytes
   uint64_t bytes_served() const { return bytes_served_; }
   uint64_t cache_hits() const { return cache_hits_; }
   uint64_t cache_misses() const { return cache_misses_; }
@@ -122,7 +123,7 @@ class DataNode {
   net::NodeId node_;
   uint64_t ram_bytes_;
   DurabilityPolicy durability_;
-  kv::KvStore store_;
+  bs::unordered_map<BlockId, DataSpec> store_;  // the "disk" contents
   // Page-cache LRU over whole blocks (front = most recent).
   std::list<std::pair<BlockId, uint64_t>> lru_;
   bs::unordered_map<BlockId,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "blob/metadata.h"
 #include "common/rng.h"
@@ -274,36 +275,22 @@ TEST(BuildWriteNodes, ConcurrentWritersProduceConsistentTrees) {
   (void)v2_nodes;
 }
 
-TEST(MetaNode, SerializeRoundtrip) {
-  MetaNode n;
-  n.range = {12, 4};
-  n.version = 9;
-  n.left = 7;
-  n.right = kNoVersion;
-  n.page_length = 4096;
-  n.providers = {3, 250, 17};
-  auto raw = n.serialize();
-  MetaNode back = MetaNode::deserialize(raw);
-  EXPECT_EQ(back.range, n.range);
-  EXPECT_EQ(back.version, n.version);
-  EXPECT_EQ(back.left, n.left);
-  EXPECT_EQ(back.right, n.right);
-  EXPECT_EQ(back.page_length, n.page_length);
-  EXPECT_EQ(back.providers, n.providers);
-}
-
 TEST(MetaKey, IsUniquePerNode) {
-  std::set<std::string> keys;
+  // Distinct nodes get distinct placement hashes (and so, in general,
+  // independent DHT positions).
+  std::set<uint64_t> hashes;
   for (uint64_t f : {0ull, 1ull, 2ull}) {
     for (uint64_t c : {1ull, 2ull, 4ull}) {
       for (Version v : {1u, 2u}) {
-        keys.insert(meta_key(7, {f, c}, v));
+        hashes.insert(MetaKey{7, f, c, v}.placement_hash());
       }
     }
   }
-  EXPECT_EQ(keys.size(), 18u);
+  EXPECT_EQ(hashes.size(), 18u);
   // Different blob → different key.
-  EXPECT_NE(meta_key(1, {0, 1}, 1), meta_key(2, {0, 1}, 1));
+  EXPECT_NE(MetaKey({1, 0, 1, 1}).placement_hash(),
+            MetaKey({2, 0, 1, 1}).placement_hash());
+  EXPECT_FALSE(MetaKey({1, 0, 1, 1}) == MetaKey({2, 0, 1, 1}));
 }
 
 // Property: simulate a random write history and verify that, for every
@@ -318,7 +305,7 @@ TEST_P(TreeOracleTest, PointerChasingMatchesHistoryOracle) {
   const uint64_t max_pages = 64;
 
   std::vector<WriteRecord> history;
-  std::map<std::string, MetaNode> dht;  // key → node
+  std::map<std::tuple<uint64_t, uint64_t, Version>, MetaNode> dht;
   uint64_t size_pages = 0;
 
   const int num_versions = 30;
@@ -338,7 +325,7 @@ TEST_P(TreeOracleTest, PointerChasingMatchesHistoryOracle) {
     const uint64_t cap = next_pow2(size_pages);
     auto nodes = build_write_nodes(range, cap, v, history);
     for (const auto& n : nodes) {
-      dht[meta_key(1, n.range, n.version)] = n;
+      dht[{n.range.first, n.range.count, n.version}] = n;
     }
     history.push_back({v, range, size_pages /*bytes unused*/, cap});
   }
@@ -360,9 +347,10 @@ TEST_P(TreeOracleTest, PointerChasingMatchesHistoryOracle) {
       PageRange node_range{0, cap};
       Version node_version = v;  // root created by v (it intersects)
       while (node_range.count > 1 && node_version != kNoVersion) {
-        auto it = dht.find(meta_key(1, node_range, node_version));
+        auto it = dht.find({node_range.first, node_range.count, node_version});
         ASSERT_NE(it, dht.end())
-            << "missing node " << meta_key(1, node_range, node_version);
+            << "missing node [" << node_range.first << ", +"
+            << node_range.count << ") @v" << node_version;
         const MetaNode& n = it->second;
         const PageRange lc = left_child(node_range);
         if (p < lc.end()) {
@@ -378,7 +366,7 @@ TEST_P(TreeOracleTest, PointerChasingMatchesHistoryOracle) {
       } else {
         EXPECT_EQ(node_version, expected) << "v=" << v << " p=" << p;
         // The leaf itself must exist.
-        EXPECT_TRUE(dht.count(meta_key(1, {p, 1}, node_version)));
+        EXPECT_TRUE(dht.count({p, 1, node_version}));
       }
     }
   }

@@ -1,8 +1,11 @@
 // Tests for the consistent-hash ring and the metadata DHT service.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "common/hash.h"
 #include "common/rng.h"
@@ -72,17 +75,37 @@ net::ClusterConfig small_net() {
   return cfg;
 }
 
+using blob::MetaKey;
+using blob::MetaNode;
+
+// A leaf as the blob client stores it; `tag` makes values distinguishable.
+MetaNode leaf_node(const MetaKey& key, uint32_t tag) {
+  MetaNode n;
+  n.range = {key.first, key.count};
+  n.version = key.version;
+  n.providers = {tag, tag + 1};
+  n.page_length = 4096 + tag;
+  return n;
+}
+
+bool same_node(const MetaNode& a, const MetaNode& b) {
+  return a.range == b.range && a.version == b.version && a.left == b.left &&
+         a.right == b.right && a.providers == b.providers &&
+         a.page_length == b.page_length;
+}
+
 TEST(Dht, PutThenGetRoundtrips) {
   sim::Simulator sim;
   net::Network net(sim, small_net());
   Dht dht(sim, net, nodes_0_to(8));
   bool checked = false;
   auto proc = [](Dht& d, bool* ok) -> sim::Task<void> {
-    Bytes v123(3); v123[0]=1; v123[1]=2; v123[2]=3;
-    co_await d.put(9, "key1", v123);
-    auto got = co_await d.get(9, "key1");
-    auto missing = co_await d.get(9, "nope");
-    *ok = got.has_value() && *got == v123 && !missing.has_value();
+    const MetaKey key{3, 12, 1, 9};
+    const MetaNode node = leaf_node(key, 17);
+    co_await d.put(9, key, node);
+    auto got = co_await d.get(9, key);
+    auto missing = co_await d.get(9, MetaKey{3, 12, 1, 10});
+    *ok = got.has_value() && same_node(*got, node) && !missing.has_value();
   };
   sim.spawn(proc(dht, &checked));
   sim.run();
@@ -99,8 +122,9 @@ TEST(Dht, ReplicationStoresCopies) {
   cfg.replication = 3;
   Dht dht(sim, net, nodes_0_to(8), cfg);
   auto proc = [](Dht& d) -> sim::Task<void> {
-    for (int i = 0; i < 10; ++i) {
-      co_await d.put(9, "k" + std::to_string(i), Bytes(1, static_cast<uint8_t>(i)));
+    for (uint32_t i = 0; i < 10; ++i) {
+      const MetaKey key{1, i, 1, 1};
+      co_await d.put(9, key, leaf_node(key, i));
     }
   };
   sim.spawn(proc(dht));
@@ -115,7 +139,8 @@ TEST(Dht, RequestCostIncludesLatencyAndService) {
   cfg.service_time_s = 1e-3;
   Dht dht(sim, net, nodes_0_to(8), cfg);
   auto proc = [](Dht& d) -> sim::Task<void> {
-    co_await d.put(9, "k", Bytes(1, 1));
+    const MetaKey key{1, 0, 1, 1};
+    co_await d.put(9, key, leaf_node(key, 1));
   };
   sim.spawn(proc(dht));
   sim.run();
@@ -129,13 +154,13 @@ TEST(Dht, ConcurrentClientsSpreadOverServers) {
   DhtConfig cfg;
   cfg.service_time_s = 1e-3;
   Dht dht(sim, net, nodes_0_to(8), cfg);
-  auto proc = [](Dht& d, int id) -> sim::Task<void> {
-    for (int i = 0; i < 20; ++i) {
-      co_await d.put(15, "client" + std::to_string(id) + "/" + std::to_string(i),
-                     Bytes(1, 1));
+  auto proc = [](Dht& d, uint32_t id) -> sim::Task<void> {
+    for (uint32_t i = 0; i < 20; ++i) {
+      const MetaKey key{id, i, 1, 1};
+      co_await d.put(15, key, leaf_node(key, i));
     }
   };
-  for (int c = 0; c < 8; ++c) sim.spawn(proc(dht, c));
+  for (uint32_t c = 0; c < 8; ++c) sim.spawn(proc(dht, c));
   sim.run();
   // 160 requests over 8 servers at 1ms each: if they were serialized at one
   // server it would take 160ms+; spread, the span should be far less.
@@ -156,15 +181,73 @@ TEST(Dht, OverwriteReplacesValue) {
   Dht dht(sim, net, nodes_0_to(4));
   bool ok = false;
   auto proc = [](Dht& d, bool* out) -> sim::Task<void> {
-    co_await d.put(0, "k", Bytes(1, 1));
-    co_await d.put(0, "k", Bytes(1, 2));
-    auto got = co_await d.get(0, "k");
-    *out = got.has_value() && *got == Bytes(1, 2);
+    const MetaKey key{1, 0, 1, 1};
+    co_await d.put(0, key, leaf_node(key, 1));
+    co_await d.put(0, key, leaf_node(key, 2));
+    auto got = co_await d.get(0, key);
+    *out = got.has_value() && same_node(*got, leaf_node(key, 2));
   };
   sim.spawn(proc(dht, &ok));
   sim.run();
   EXPECT_TRUE(ok);
   EXPECT_EQ(dht.total_entries(), 1u);
+}
+
+// Placement pin: a MetaKey lands on exactly the providers a string-keyed
+// DHT chose for "m/<blob>/<first>/<count>/<version>", so typed keys move no
+// metadata node (and no simulated request) anywhere else.
+TEST(Dht, PlacementMatchesCanonicalKeyText) {
+  constexpr uint32_t kMax32 = std::numeric_limits<uint32_t>::max();
+  constexpr uint64_t kMax64 = std::numeric_limits<uint64_t>::max();
+  const std::vector<MetaKey> keys = {
+      {0, 0, 0, 0},           {0, 0, 1, 1},
+      {1, 0, 1, 1},           {7, 12, 4, 9},
+      {42, 1024, 1024, 100},  {123456, 987654321, 1, 77},
+      {kMax32, 0, 1, 1},      {1, kMax64, 1, 1},
+      {1, 0, kMax64, 1},      {1, 0, 1, kMax32},
+      {kMax32, kMax64, kMax64, kMax32},
+  };
+  for (const MetaKey& key : keys) {
+    const std::string text = "m/" + std::to_string(key.blob) + "/" +
+                             std::to_string(key.first) + "/" +
+                             std::to_string(key.count) + "/" +
+                             std::to_string(key.version);
+    const uint64_t h = fnv1a64(text);
+    EXPECT_EQ(key.placement_hash(), h) << text;
+
+    sim::Simulator sim;
+    net::Network net(sim, small_net());
+    DhtConfig cfg;
+    cfg.replication = 3;
+    Dht dht(sim, net, nodes_0_to(8), cfg);
+    std::map<net::NodeId, uint64_t> after_put, after_get;
+    auto proc = [](Dht& d, MetaKey k, std::map<net::NodeId, uint64_t>* put,
+                   std::map<net::NodeId, uint64_t>* get) -> sim::Task<void> {
+      co_await d.put(9, k, leaf_node(k, 1));
+      *put = d.requests_per_node();
+      co_await d.get(9, k);
+      *get = d.requests_per_node();
+    };
+    sim.spawn(proc(dht, key, &after_put, &after_get));
+    sim.run();
+
+    // The put reached exactly the ring's replica set for the text hash ...
+    const auto want = dht.ring().replicas(h, cfg.replication);
+    std::set<net::NodeId> put_targets;
+    for (const auto& [n, c] : after_put) {
+      if (c > 0) put_targets.insert(n);
+    }
+    EXPECT_EQ(put_targets, std::set<net::NodeId>(want.begin(), want.end()))
+        << text;
+    // ... and the get read from its primary.
+    std::vector<net::NodeId> get_targets;
+    for (const auto& [n, c] : after_get) {
+      if (c > after_put[n]) get_targets.push_back(n);
+    }
+    EXPECT_EQ(get_targets, std::vector<net::NodeId>{dht.ring().primary(h)})
+        << text;
+    EXPECT_EQ(want.front(), dht.ring().primary(h));
+  }
 }
 
 }  // namespace

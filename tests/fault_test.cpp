@@ -17,12 +17,14 @@
 
 #include "blob/cluster.h"
 #include "blob/metadata.h"
+#include "blob/provider.h"
 #include "bsfs/bsfs.h"
 #include "common/wordlist.h"
 #include "fault/detector.h"
 #include "fault/injector.h"
 #include "fault/repair.h"
 #include "fault/retention.h"
+#include "hdfs/datanode.h"
 #include "hdfs/hdfs.h"
 #include "mr/app.h"
 #include "mr/cluster.h"
@@ -853,6 +855,143 @@ TEST(FaultRecovery, WipedAndRecoveredReplicaIsReCreated) {
   w.sim.spawn(verify(w, *client, blob, &all_present));
   w.sim.run();
   EXPECT_TRUE(all_present);
+}
+
+// RAM accounting across a disk wipe. A wiped node must release the RAM of
+// every clean cached page/block it forgets: a stale LRU entry would count
+// the same bytes twice once repair re-stores the key. After crash(wipe),
+// recover and a repair-style re-copy of the same keys, ram_used() is
+// exactly the resident bytes, and every re-stored key is served from RAM.
+constexpr uint64_t kWipeItems = 8;
+constexpr uint64_t kWipeItemBytes = 1000;
+
+net::ClusterConfig wipe_net() {
+  net::ClusterConfig cfg;
+  cfg.num_nodes = 3;
+  cfg.nodes_per_rack = 3;
+  return cfg;
+}
+
+TEST(WipeAccounting, ProviderRamMatchesResidentPagesAfterRestore) {
+  sim::Simulator sim;
+  net::Network net(sim, wipe_net());
+  blob::ProviderConfig cfg;
+  cfg.ram_bytes = 1 << 20;
+  cfg.read_cache = true;
+  cfg.node = 1;
+  blob::Provider src(sim, net, cfg);
+  cfg.node = 2;
+  blob::Provider dst(sim, net, cfg);
+  auto key = [](uint64_t i) { return blob::PageKey{1, i, 1}; };
+  auto run = [&](blob::Provider* a, blob::Provider* b) -> sim::Task<void> {
+    for (uint64_t i = 0; i < kWipeItems; ++i) {
+      const DataSpec page = DataSpec::pattern(i, 0, kWipeItemBytes);
+      EXPECT_TRUE(co_await a->put_page(0, key(i), page));
+      EXPECT_TRUE(co_await b->put_page(0, key(i), page));
+    }
+    co_await b->drain();
+    for (uint64_t i = 0; i < kWipeItems; i += 2) {
+      EXPECT_TRUE((co_await b->get_page(0, key(i))).has_value());
+    }
+    EXPECT_EQ(b->ram_used(), kWipeItems * kWipeItemBytes);
+
+    b->crash(/*wipe_storage=*/true);
+    EXPECT_EQ(b->ram_used(), 0u);
+    EXPECT_EQ(b->pages_held(), 0u);
+    b->recover();
+    for (uint64_t i = 0; i < kWipeItems; ++i) {
+      EXPECT_TRUE(co_await a->replicate_to(*b, key(i), 0));
+    }
+    co_await b->drain();
+    EXPECT_EQ(b->ram_used(), kWipeItems * kWipeItemBytes);
+    const uint64_t misses = b->cache_misses();
+    for (uint64_t i = 0; i < kWipeItems; ++i) {
+      auto got = co_await b->get_page(0, key(i));
+      EXPECT_TRUE(got.has_value() && got->content_equals(DataSpec::pattern(
+                                         i, 0, kWipeItemBytes)));
+    }
+    EXPECT_EQ(b->cache_misses(), misses);
+    EXPECT_EQ(b->ram_used(), kWipeItems * kWipeItemBytes);
+  };
+  sim.spawn(run(&src, &dst));
+  sim.run();
+  EXPECT_EQ(dst.pages_held(), kWipeItems);
+}
+
+// A disk read in flight when the wipe lands must not put its page back in
+// the LRU: the page is gone, and once repair re-stores the key the stale
+// entry would count its RAM a second time.
+TEST(WipeAccounting, ReadRacingAWipeLeavesNoStaleCacheEntry) {
+  sim::Simulator sim;
+  net::Network net(sim, wipe_net());
+  blob::ProviderConfig cfg;
+  cfg.node = 1;
+  cfg.ram_bytes = 2500;  // two pages: the third evicts the first
+  cfg.read_cache = true;
+  blob::Provider p(sim, net, cfg);
+  auto page = [](uint64_t i) {
+    return DataSpec::pattern(i, 0, kWipeItemBytes);
+  };
+  auto run = [&page](blob::Provider* pr) -> sim::Task<void> {
+    for (uint64_t i = 0; i < 3; ++i) {
+      EXPECT_TRUE(co_await pr->put_page(0, blob::PageKey{1, i, 1}, page(i)));
+      co_await pr->drain();
+    }
+    EXPECT_EQ(pr->cache_misses(), 0u);
+    // Page 0 was evicted: this read goes to disk, and the wipe lands
+    // during it.
+    EXPECT_FALSE((co_await pr->get_page(0, blob::PageKey{1, 0, 1})).has_value());
+    EXPECT_EQ(pr->ram_used(), 0u);
+    pr->recover();
+    EXPECT_TRUE(co_await pr->put_page(0, blob::PageKey{1, 0, 1}, page(0)));
+    co_await pr->drain();
+    EXPECT_EQ(pr->ram_used(), kWipeItemBytes);
+  };
+  auto wipe_during_read = [](sim::Simulator* s,
+                             blob::Provider* pr) -> sim::Task<void> {
+    while (pr->cache_misses() == 0) co_await s->delay(1e-4);
+    pr->crash(/*wipe_storage=*/true);
+  };
+  sim.spawn(run(&p));
+  sim.spawn(wipe_during_read(&sim, &p));
+  sim.run();
+  EXPECT_EQ(p.pages_held(), 1u);
+}
+
+TEST(WipeAccounting, DataNodeRamMatchesResidentBlocksAfterRestore) {
+  sim::Simulator sim;
+  net::Network net(sim, wipe_net());
+  hdfs::DataNode src(sim, net, 1, 1 << 20);
+  hdfs::DataNode dst(sim, net, 2, 1 << 20);
+  auto run = [](hdfs::DataNode* a, hdfs::DataNode* b) -> sim::Task<void> {
+    for (hdfs::BlockId id = 1; id <= kWipeItems; ++id) {
+      const DataSpec block = DataSpec::pattern(id, 0, kWipeItemBytes);
+      EXPECT_TRUE(co_await a->receive_block(0, id, block));
+      EXPECT_TRUE(co_await b->receive_block(0, id, block));
+    }
+    co_await b->drain();
+    EXPECT_EQ(b->ram_used(), kWipeItems * kWipeItemBytes);
+
+    b->crash(/*wipe_storage=*/true);
+    EXPECT_EQ(b->ram_used(), 0u);
+    EXPECT_FALSE(b->has_block(1));
+    b->recover();
+    for (hdfs::BlockId id = 1; id <= kWipeItems; ++id) {
+      EXPECT_TRUE(co_await a->replicate_to(*b, id, 0));
+    }
+    EXPECT_EQ(b->ram_used(), kWipeItems * kWipeItemBytes);
+    const uint64_t misses = b->cache_misses();
+    for (hdfs::BlockId id = 1; id <= kWipeItems; ++id) {
+      auto got = co_await b->read_block(0, id, 0, kWipeItemBytes);
+      EXPECT_TRUE(got.has_value() && got->content_equals(DataSpec::pattern(
+                                         id, 0, kWipeItemBytes)));
+    }
+    EXPECT_EQ(b->cache_misses(), misses);
+    EXPECT_EQ(b->ram_used(), kWipeItems * kWipeItemBytes);
+  };
+  sim.spawn(run(&src, &dst));
+  sim.run();
+  EXPECT_TRUE(dst.has_block(kWipeItems));
 }
 
 TEST(FaultRecovery, RepairIsIdempotentOnHealthyBlob) {
